@@ -2,11 +2,13 @@
 //
 // The paper reports < 21 ms end-to-end (context detection + authentication)
 // per 6 s window, 0.065 s training, ~3 MB memory. These benchmarks measure
-// our feature extraction, context detection and decision latency, and print
-// a memory budget for the resident model state.
+// feature extraction (per window and per 60 s session), context detection,
+// the decision, and one raw window end to end, and print a memory budget
+// for the resident model state.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "context/context_detector.h"
 #include "core/auth_model.h"
@@ -23,7 +25,8 @@ namespace {
 struct PipelineFixture {
   sensors::Population pop = sensors::Population::generate(4, 51);
   features::FeatureExtractor extractor{features::FeatureConfig{}};
-  sensors::CollectedSession session;
+  sensors::CollectedSession session;  // 60 s, ten windows
+  sensors::CollectedSession window;   // one raw 6 s window
   context::ContextDetector detector;
   core::AuthModel model;
   std::vector<double> window28;
@@ -36,6 +39,11 @@ struct PipelineFixture {
     collect.synthesis.duration_seconds = 60.0;
     session = sensors::collect_session(
         pop.user(0), sensors::UsageContext::kMoving, collect, rng);
+    sensors::CollectorOptions one_window = collect;
+    one_window.synthesis.duration_seconds =
+        extractor.config().window.window_seconds;
+    window = sensors::collect_session(
+        pop.user(0), sensors::UsageContext::kMoving, one_window, rng);
 
     // Context detector from the other users.
     std::vector<std::vector<double>> ctx_x;
@@ -73,7 +81,12 @@ struct PipelineFixture {
     model.set_context_model(sensors::DetectedContext::kStationary,
                             core::ContextModel(scaler, std::move(krr)));
 
-    window28 = extractor.auth_vectors(session.phone, &*session.watch)[0];
+    const auto vectors = extractor.auth_vectors(window.phone, &*window.watch);
+    if (vectors.size() != 1) {
+      std::fprintf(stderr, "expected one window, got %zu\n", vectors.size());
+      std::exit(1);
+    }
+    window28 = vectors[0];
   }
 };
 
@@ -82,15 +95,26 @@ PipelineFixture& fixture() {
   return f;
 }
 
-// Feature extraction for one 6 s window (both devices, Eq. 4).
-void BM_FeatureExtraction6sWindow(benchmark::State& state) {
+// Feature extraction for one raw 6 s window: four streams (phone and watch,
+// accel and gyro) into one 28-dim vector (Eq. 4).
+void BM_FeatureExtractionWindow(benchmark::State& state) {
+  auto& f = fixture();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        f.extractor.auth_vectors(f.window.phone, &*f.window.watch));
+  }
+}
+BENCHMARK(BM_FeatureExtractionWindow)->Unit(benchmark::kMicrosecond);
+
+// Feature extraction for a whole 60 s session (ten 6 s windows).
+void BM_FeatureExtractionSession60s(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         f.extractor.auth_vectors(f.session.phone, &*f.session.watch));
   }
 }
-BENCHMARK(BM_FeatureExtraction6sWindow)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FeatureExtractionSession60s)->Unit(benchmark::kMicrosecond);
 
 // Context detection per window (paper: < 3 ms).
 void BM_ContextDetection(benchmark::State& state) {
@@ -112,13 +136,16 @@ void BM_AuthDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_AuthDecision)->Unit(benchmark::kMicrosecond);
 
-// End-to-end: context detection + model selection + decision (paper: <21 ms).
+// End-to-end from one raw 6 s window: feature extraction, context
+// detection, model selection and decision (paper: < 21 ms).
 void BM_EndToEndWindow(benchmark::State& state) {
   auto& f = fixture();
-  const std::span<const double> phone(f.window28.data(), 14);
   for (auto _ : state) {
-    const auto context = f.detector.detect(phone);
-    benchmark::DoNotOptimize(f.model.score(context, f.window28));
+    const auto vectors =
+        f.extractor.auth_vectors(f.window.phone, &*f.window.watch);
+    const auto context = f.detector.detect(
+        std::span<const double>(vectors[0].data(), 14));
+    benchmark::DoNotOptimize(f.model.score(context, vectors[0]));
   }
 }
 BENCHMARK(BM_EndToEndWindow)->Unit(benchmark::kMicrosecond);

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -26,6 +25,7 @@
 #include "serve/shard_snapshot.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/sim_clock.h"
 #include "util/stopwatch.h"
 
 namespace sy::analysis {
@@ -122,33 +122,6 @@ std::uint64_t counter_or(const obs::Snapshot& snapshot,
                          const std::string& name) {
   const auto it = snapshot.counters.find(name);
   return it == snapshot.counters.end() ? 0 : it->second;
-}
-
-// Registry histograms accumulate over a gateway's lifetime; phase-local
-// percentiles come from subtracting the phase-start snapshot bucket by
-// bucket (sparse merge — bucket boundaries are compile-time constants, so
-// the diff is exact).
-obs::HistogramSnapshot diff_histogram(const obs::HistogramSnapshot& later,
-                                      const obs::HistogramSnapshot& earlier) {
-  obs::HistogramSnapshot out;
-  out.count = later.count - earlier.count;
-  out.sum = later.sum - earlier.sum;
-  // max cannot be un-merged; keeping the later max only affects the final
-  // upper clamp of percentile(), never the bucket walk.
-  out.max = later.max;
-  std::map<std::size_t, std::uint64_t> buckets(later.buckets.begin(),
-                                               later.buckets.end());
-  for (const auto& [index, count] : earlier.buckets) {
-    const auto it = buckets.find(index);
-    if (it == buckets.end()) continue;
-    if (it->second <= count) {
-      buckets.erase(it);
-    } else {
-      it->second -= count;
-    }
-  }
-  out.buckets.assign(buckets.begin(), buckets.end());
-  return out;
 }
 
 // --- masquerade_campaign ---------------------------------------------------
@@ -699,12 +672,33 @@ ScenarioResult run_disk_fault_storm(const ScenarioOptions& options) {
 
 // --- overload_shed ---------------------------------------------------------
 
+// The calling thread's simulated clock (overload_shed's simulated mode).
+util::SimClock& thread_sim_clock() {
+  thread_local util::SimClock clock;
+  return clock;
+}
+
+// Nearest-rank 99th percentile, in microseconds.
+double p99_us(std::vector<std::int64_t> latencies_ns) {
+  if (latencies_ns.empty()) return 0.0;
+  std::sort(latencies_ns.begin(), latencies_ns.end());
+  const std::size_t rank = (latencies_ns.size() * 99 + 99) / 100;
+  return static_cast<double>(latencies_ns[rank - 1]) / 1e3;
+}
+
 ScenarioResult run_overload_shed(const ScenarioOptions& options) {
   ScenarioResult result;
   result.name = "overload_shed";
 
+  // Latency is read off the gateway clock. By default that is the steady
+  // clock, so accepted latency is wall time. With a simulated service time,
+  // every thread owns a util::SimClock that the gateway clock reads and
+  // that each accepted request advances by exactly that cost, so the p99
+  // invariant no longer depends on how the host schedules the threads.
+  const std::int64_t sim_service_ns = options.overload_sim_service_ns;
   serve::GatewayConfig gc;
   gc.admission.max_concurrent = options.overload_max_concurrent;
+  if (sim_service_ns > 0) gc.clock = [] { return thread_sim_clock().now_ns(); };
   Fixture fixture = make_fixture(options, gc);
 
   // Heavy batches (rows cycled): each request must occupy its admission slot
@@ -725,23 +719,24 @@ ScenarioResult run_overload_shed(const ScenarioOptions& options) {
     batches.push_back(std::move(batch));
   }
 
-  const auto score_histogram = [&fixture] {
-    const auto snap = fixture.gateway->metrics().snapshot();
-    const auto it = snap.histograms.find("gateway.score_ns");
-    return it != snap.histograms.end() ? it->second : obs::HistogramSnapshot{};
+  // One request; returns its latency on the gateway clock if accepted and
+  // rethrows OverloadError if shed.
+  const auto timed_score = [&](std::size_t u) {
+    const std::int64_t start = fixture.gateway->now_ns();
+    (void)fixture.gateway->score_batch(static_cast<int>(u), kStationary,
+                                       batches[u]);
+    if (sim_service_ns > 0) thread_sim_clock().advance_ns(sim_service_ns);
+    return fixture.gateway->now_ns() - start;
   };
 
   // Phase 1 — unloaded baseline: sequential requests, no contention. The
   // floor keeps the baseline p99 from being the max of a handful of samples.
-  const obs::HistogramSnapshot h0 = score_histogram();
   const std::size_t baseline_requests = std::max<std::size_t>(
       fixture.corpus.n_users() * options.burst_rounds, 32);
+  std::vector<std::int64_t> baseline_ns;
   for (std::size_t r = 0; r < baseline_requests; ++r) {
-    const std::size_t u = r % fixture.corpus.n_users();
-    (void)fixture.gateway->score_batch(static_cast<int>(u), kStationary,
-                                       batches[u]);
+    baseline_ns.push_back(timed_score(r % fixture.corpus.n_users()));
   }
-  const obs::HistogramSnapshot h1 = score_histogram();
 
   // Phase 2 — the burst: more client threads than admission slots. Excess
   // requests shed (typed OverloadError) rather than queue; a shed client
@@ -751,6 +746,7 @@ ScenarioResult run_overload_shed(const ScenarioOptions& options) {
   // never overlap), so the shed PROOF is phase 3, not this.
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> burst_shed{0};
+  std::vector<std::vector<std::int64_t>> burst_ns(options.overload_threads);
   std::vector<std::thread> clients;
   clients.reserve(options.overload_threads);
   for (std::size_t t = 0; t < options.overload_threads; ++t) {
@@ -758,8 +754,7 @@ ScenarioResult run_overload_shed(const ScenarioOptions& options) {
       for (std::size_t r = 0; r < options.overload_requests_per_thread; ++r) {
         const std::size_t u = (t + r) % fixture.corpus.n_users();
         try {
-          (void)fixture.gateway->score_batch(static_cast<int>(u), kStationary,
-                                             batches[u]);
+          burst_ns[t].push_back(timed_score(u));
           accepted.fetch_add(1, std::memory_order_relaxed);
         } catch (const serve::OverloadError&) {
           burst_shed.fetch_add(1, std::memory_order_relaxed);
@@ -769,10 +764,13 @@ ScenarioResult run_overload_shed(const ScenarioOptions& options) {
     });
   }
   for (auto& client : clients) client.join();
-  const obs::HistogramSnapshot h2 = score_histogram();
+  std::vector<std::int64_t> all_burst_ns;
+  for (const auto& thread_ns : burst_ns) {
+    all_burst_ns.insert(all_burst_ns.end(), thread_ns.begin(), thread_ns.end());
+  }
 
-  // Phase 3 — deterministic saturation (after the h2 snapshot, so the
-  // occupiers' multi-millisecond scores never pollute the burst histogram):
+  // Phase 3 — deterministic saturation (after the burst, so the occupiers'
+  // multi-millisecond scores never pollute the burst latencies):
   // one occupier thread per admission slot loops a mega-batch whose scoring
   // holds its slot for milliseconds, while this thread waits for the
   // inflight gauge to show every slot taken and then probes. A probe can
@@ -829,12 +827,8 @@ ScenarioResult run_overload_shed(const ScenarioOptions& options) {
   }
 
   result.metrics = fixture.gateway->metrics().snapshot();
-  const obs::HistogramSnapshot baseline_hist = diff_histogram(h1, h0);
-  const obs::HistogramSnapshot burst_hist = diff_histogram(h2, h1);
-  const double base_p99_us =
-      static_cast<double>(baseline_hist.percentile(0.99)) / 1e3;
-  const double burst_p99_us =
-      static_cast<double>(burst_hist.percentile(0.99)) / 1e3;
+  const double base_p99_us = p99_us(baseline_ns);
+  const double burst_p99_us = p99_us(all_burst_ns);
   const double p99_ratio =
       base_p99_us > 0.0 ? burst_p99_us / base_p99_us : 0.0;
   const auto shed_saturated =
@@ -873,7 +867,7 @@ ScenarioResult run_overload_shed(const ScenarioOptions& options) {
   require(result, inflight_now == 0,
           "admission inflight gauge nonzero after the burst drained");
   require(result, base_p99_us > 0.0 && burst_p99_us > 0.0,
-          "phase histograms are empty");
+          "no accepted latency measured in a phase");
   // The headline invariant: shedding keeps ACCEPTED latency flat — had the
   // gate QUEUED instead of shed, the burst tail would sit behind the whole
   // backlog ((issued / slots) x service time, i.e. several milliseconds even

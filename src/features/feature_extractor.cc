@@ -61,6 +61,15 @@ FeatureExtractor::FeatureExtractor(FeatureConfig config) : config_(config) {
   if (config_.window.window_samples() == 0) {
     throw std::invalid_argument("FeatureExtractor: empty window");
   }
+  const std::size_t n = transform_length(config_.window.window_samples());
+  if (n >= 2 && signal::is_power_of_two(n)) fft_.emplace(n);
+}
+
+std::size_t FeatureExtractor::transform_length(std::size_t n) const {
+  if (!config_.pad_to_pow2 || signal::is_power_of_two(n)) return n;
+  std::size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
 }
 
 StreamFeatures FeatureExtractor::window_features(
@@ -75,20 +84,18 @@ StreamFeatures FeatureExtractor::window_features(
   f.ran = stats.range();
 
   // Frequency domain. Optionally remove DC and zero-pad to a power of two.
-  std::vector<double> buf;
-  buf.reserve(window.size());
+  const std::size_t padded = transform_length(window.size());
+  std::vector<double> buf(padded, 0.0);
   const double dc = config_.remove_dc ? f.mean : 0.0;
-  for (const double v : window) buf.push_back(v - dc);
+  for (std::size_t i = 0; i < window.size(); ++i) buf[i] = window[i] - dc;
 
-  std::size_t padded = buf.size();
-  if (config_.pad_to_pow2 && !signal::is_power_of_two(padded)) {
-    std::size_t p = 1;
-    while (p < buf.size()) p <<= 1;
-    padded = p;
-    buf.resize(padded, 0.0);
+  std::vector<double> mag;
+  if (fft_ && fft_->size() == padded) {
+    mag.resize(fft_->bins());
+    fft_->magnitude(buf, mag);
+  } else {
+    mag = signal::magnitude_spectrum(buf);
   }
-
-  const auto mag = signal::magnitude_spectrum(buf);
   auto peaks = signal::find_peaks(mag, padded, config_.window.sample_rate_hz,
                                   config_.peak_guard_hz);
   // Undo the amplitude dilution introduced by zero-padding (the DFT is

@@ -8,68 +8,136 @@ namespace sy::signal {
 
 bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-void fft_radix2(std::vector<std::complex<double>>& x) {
-  const std::size_t n = x.size();
-  if (!is_power_of_two(n)) {
-    throw std::invalid_argument("fft_radix2: size must be a power of two");
-  }
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(x[i], x[j]);
-  }
-  // Danielson-Lanczos stages.
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
-    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const std::complex<double> u = x[i + k];
-        const std::complex<double> v = x[i + k + len / 2] * w;
-        x[i + k] = u + v;
-        x[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-}
-
 std::vector<std::complex<double>> dft(std::span<const double> x) {
   const std::size_t n = x.size();
   std::vector<std::complex<double>> out(n);
   if (n == 0) return out;
 
-  if (is_power_of_two(n)) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = {x[i], 0.0};
-    fft_radix2(out);
-    return out;
+  // Each twiddle exp(-2*pi*i*j/n) is evaluated once, and bin k reads
+  // w[(k*i) mod n]; a product recurrence would drift by ~n ulps instead.
+  std::vector<std::complex<double>> w(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    w[j] = std::polar(1.0, -2.0 * std::numbers::pi * static_cast<double>(j) /
+                               static_cast<double>(n));
   }
-
-  // Direct DFT with recurrence-based twiddle factors per output bin.
   for (std::size_t k = 0; k < n; ++k) {
-    const double angle =
-        -2.0 * std::numbers::pi * static_cast<double>(k) / static_cast<double>(n);
-    const std::complex<double> w(std::cos(angle), std::sin(angle));
-    std::complex<double> wn(1.0, 0.0);
     std::complex<double> acc(0.0, 0.0);
+    std::size_t idx = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      acc += x[i] * wn;
-      wn *= w;
+      acc += x[i] * w[idx];
+      idx += k;
+      if (idx >= n) idx -= n;
     }
     out[k] = acc;
   }
   return out;
 }
 
+RealFft::RealFft(std::size_t n) : n_(n) {
+  if (n < 2 || !is_power_of_two(n)) {
+    throw std::invalid_argument("RealFft: size must be a power of two >= 2");
+  }
+  const std::size_t m = n / 2;
+
+  std::size_t bits = 0;
+  while ((std::size_t{1} << bits) < m) ++bits;
+  bitrev_.resize(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    std::size_t r = 0;
+    for (std::size_t b = 0; b < bits; ++b) {
+      r |= ((j >> b) & 1u) << (bits - 1 - b);
+    }
+    bitrev_[j] = r;
+  }
+
+  // Twiddles are evaluated directly, never by recurrence, so each carries
+  // one rounding regardless of n.
+  stage_re_.resize(m - 1);
+  stage_im_.resize(m - 1);
+  for (std::size_t h = 1; h < m; h <<= 1) {
+    for (std::size_t j = 0; j < h; ++j) {
+      const double angle =
+          -std::numbers::pi * static_cast<double>(j) / static_cast<double>(h);
+      stage_re_[h - 1 + j] = std::cos(angle);
+      stage_im_[h - 1 + j] = std::sin(angle);
+    }
+  }
+  split_re_.resize(m);
+  split_im_.resize(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
+                         static_cast<double>(n);
+    split_re_[k] = std::cos(angle);
+    split_im_[k] = std::sin(angle);
+  }
+}
+
+void RealFft::magnitude(std::span<const double> x,
+                        std::span<double> out) const {
+  if (x.size() != n_ || out.size() != bins()) {
+    throw std::invalid_argument("RealFft::magnitude: size mismatch");
+  }
+  const std::size_t m = n_ / 2;
+  std::vector<double> scratch(n_);
+  double* re = scratch.data();
+  double* im = re + m;
+
+  // Pack z[j] = x[2j] + i*x[2j+1], stored in bit-reversed order.
+  for (std::size_t j = 0; j < m; ++j) {
+    re[j] = x[2 * bitrev_[j]];
+    im[j] = x[2 * bitrev_[j] + 1];
+  }
+
+  // Iterative radix-2 stages over split re/im arrays; butterflies of span
+  // 2h read the stage's h twiddles.
+  for (std::size_t h = 1; h < m; h <<= 1) {
+    const double* wr = stage_re_.data() + (h - 1);
+    const double* wi = stage_im_.data() + (h - 1);
+    for (std::size_t base = 0; base < m; base += 2 * h) {
+      double* ar = re + base;
+      double* ai = im + base;
+      double* br = ar + h;
+      double* bi = ai + h;
+      for (std::size_t j = 0; j < h; ++j) {
+        const double tr = br[j] * wr[j] - bi[j] * wi[j];
+        const double ti = br[j] * wi[j] + bi[j] * wr[j];
+        br[j] = ar[j] - tr;
+        bi[j] = ai[j] - ti;
+        ar[j] += tr;
+        ai[j] += ti;
+      }
+    }
+  }
+
+  // Unpack X[k] = E[k] + exp(-2*pi*i*k/n) * O[k], with E and O the spectra
+  // of the even and odd samples: E[k] = (Z[k] + conj Z[m-k]) / 2 and
+  // O[k] = (Z[k] - conj Z[m-k]) / 2i. Bins 0 and m are real.
+  const double inv_n = 1.0 / static_cast<double>(n_);
+  const double two_inv_n = 2.0 * inv_n;
+  out[0] = std::abs(re[0] + im[0]) * inv_n;
+  out[m] = std::abs(re[0] - im[0]) * inv_n;
+  for (std::size_t k = 1; k < m; ++k) {
+    const std::size_t r = m - k;
+    const double er = 0.5 * (re[k] + re[r]);
+    const double ei = 0.5 * (im[k] - im[r]);
+    const double o_r = 0.5 * (im[k] + im[r]);
+    const double o_i = 0.5 * (re[r] - re[k]);
+    const double xr = er + split_re_[k] * o_r - split_im_[k] * o_i;
+    const double xi = ei + split_re_[k] * o_i + split_im_[k] * o_r;
+    out[k] = std::sqrt(xr * xr + xi * xi) * two_inv_n;
+  }
+}
+
 std::vector<double> magnitude_spectrum(std::span<const double> x) {
   const std::size_t n = x.size();
   if (n == 0) return {};
-  const auto spec = dft(x);
   const std::size_t half = n / 2;
   std::vector<double> mag(half + 1);
+  if (n >= 2 && is_power_of_two(n)) {
+    RealFft(n).magnitude(x, mag);
+    return mag;
+  }
+  const auto spec = dft(x);
   for (std::size_t k = 0; k <= half; ++k) {
     double m = std::abs(spec[k]) / static_cast<double>(n);
     const bool is_dc = (k == 0);

@@ -99,6 +99,9 @@ TEST(Scenarios, OverloadShedRejectsWithTypedErrorsAndHoldsP99) {
   ScenarioOptions options = tiny_options();
   options.overload_threads = 4;
   options.overload_requests_per_thread = 25;
+  // Service time on the simulated gateway clock: the p99 invariant must not
+  // depend on how busy the host is (the wall-clock bound is a bench gate).
+  options.overload_sim_service_ns = 250'000;
   const ScenarioResult result = run_scenario("overload_shed", options);
   EXPECT_EQ(result.name, "overload_shed");
   EXPECT_TRUE(result.passed) << (result.failures.empty()
@@ -115,6 +118,9 @@ TEST(Scenarios, OverloadShedRejectsWithTypedErrorsAndHoldsP99) {
             result.summary_value("issued_requests"));
   EXPECT_GE(result.metrics.counters.at("gateway.admission.shed_saturated"),
             1u);
+  // Every accepted request costs exactly the simulated service time.
+  EXPECT_EQ(result.summary_value("baseline_p99_us"), 250.0);
+  EXPECT_EQ(result.summary_value("burst_p99_us"), 250.0);
 }
 
 TEST(Scenarios, JsonArtifactCarriesTheMatrixSchema) {

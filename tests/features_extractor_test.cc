@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <thread>
 
 #include "sensors/motion_model.h"
 #include "sensors/population.h"
+#include "signal/dft.h"
+#include "signal/spectrum.h"
+#include "signal/stats.h"
 
 namespace sy::features {
 namespace {
@@ -161,6 +166,125 @@ TEST(FeatureExtractor, EmptyWindowConfigThrows) {
   FeatureConfig config;
   config.window.window_seconds = 0.0;
   EXPECT_THROW(FeatureExtractor{config}, std::invalid_argument);
+}
+
+// 6 s magnitude windows of all four streams (phone and watch, accel and
+// gyro) from freshly synthesized sessions in both usage contexts.
+std::vector<std::vector<double>> synthesized_windows() {
+  std::vector<std::vector<double>> out;
+  util::Rng rng(34);
+  for (int u = 0; u < 3; ++u) {
+    const sensors::UserProfile user = sensors::UserProfile::sample(u, rng);
+    for (const auto context : {sensors::UsageContext::kStationaryUse,
+                               sensors::UsageContext::kMoving}) {
+      const auto env = sensors::SessionEnvironment::sample(context, rng);
+      sensors::SynthesisOptions options;
+      options.duration_seconds = 6.0;
+      const auto pair =
+          sensors::synthesize_session(user, context, env, options, rng);
+      for (const auto* rec : {&pair.phone, &pair.watch}) {
+        out.push_back(rec->accel.magnitude());
+        out.push_back(rec->gyro.magnitude());
+      }
+    }
+  }
+  return out;
+}
+
+// window_features recomputed with the spectrum taken from the direct O(n^2)
+// DFT oracle instead of the FFT plan.
+StreamFeatures oracle_window_features(std::span<const double> window,
+                                      const FeatureConfig& config) {
+  StreamFeatures f;
+  signal::RunningStats stats;
+  for (const double v : window) stats.add(v);
+  f.mean = stats.mean();
+  f.var = stats.variance();
+  f.max = stats.max();
+  f.min = stats.min();
+  f.ran = stats.range();
+
+  std::size_t padded = 1;
+  while (padded < window.size()) padded <<= 1;
+  std::vector<double> buf(padded, 0.0);
+  for (std::size_t i = 0; i < window.size(); ++i) buf[i] = window[i] - f.mean;
+  const auto spec = signal::dft(buf);
+  std::vector<double> mag(padded / 2 + 1);
+  for (std::size_t k = 0; k < mag.size(); ++k) {
+    const double scale = (k == 0 || k == padded / 2) ? 1.0 : 2.0;
+    mag[k] = scale * std::abs(spec[k]) / static_cast<double>(padded);
+  }
+  const auto peaks = signal::find_peaks(
+      mag, padded, config.window.sample_rate_hz, config.peak_guard_hz);
+  const double rescale =
+      static_cast<double>(padded) / static_cast<double>(window.size());
+  f.peak = peaks.peak_amplitude * rescale;
+  f.peak_f = peaks.peak_frequency_hz;
+  f.peak2 = peaks.peak2_amplitude * rescale;
+  f.peak2_f = peaks.peak2_frequency_hz;
+  return f;
+}
+
+TEST(WindowFeatures, MatchDirectDftOracleOnSynthesizedWindows) {
+  const FeatureConfig config;
+  const FeatureExtractor extractor(config);
+  const auto windows = synthesized_windows();
+  ASSERT_EQ(windows.size(), 24u);
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    ASSERT_EQ(windows[w].size(), config.window.window_samples());
+    const StreamFeatures got = extractor.window_features(windows[w]);
+    const StreamFeatures want = oracle_window_features(windows[w], config);
+    // Time domain does not touch the transform: bit-equal.
+    EXPECT_EQ(got.mean, want.mean) << w;
+    EXPECT_EQ(got.var, want.var) << w;
+    EXPECT_EQ(got.max, want.max) << w;
+    EXPECT_EQ(got.min, want.min) << w;
+    EXPECT_EQ(got.ran, want.ran) << w;
+    // Same peak bins, so the frequencies are the same doubles.
+    EXPECT_EQ(got.peak_f, want.peak_f) << w;
+    EXPECT_EQ(got.peak2_f, want.peak2_f) << w;
+    EXPECT_GT(want.peak, 0.0) << w;
+    EXPECT_LE(std::abs(got.peak - want.peak), 1e-12 * want.peak) << w;
+    EXPECT_LE(std::abs(got.peak2 - want.peak2), 1e-12 * want.peak) << w;
+  }
+}
+
+TEST(FeatureExtractor, SharedAcrossThreadsIsBitIdentical) {
+  const FeatureExtractor extractor{FeatureConfig{}};
+  const auto windows = synthesized_windows();
+  std::vector<StreamFeatures> expected;
+  for (const auto& w : windows) expected.push_back(extractor.window_features(w));
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  std::vector<std::vector<StreamFeatures>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        // Each thread walks the windows from a different offset so calls on
+        // the same window and on different windows overlap.
+        for (std::size_t i = 0; i < windows.size(); ++i) {
+          const std::size_t w = (i + static_cast<std::size_t>(t) * 5) %
+                                windows.size();
+          got[t].push_back(extractor.window_features(windows[w]));
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), windows.size() * kRounds);
+    for (std::size_t c = 0; c < got[t].size(); ++c) {
+      const std::size_t w =
+          (c % windows.size() + static_cast<std::size_t>(t) * 5) %
+          windows.size();
+      EXPECT_EQ(std::memcmp(&got[t][c], &expected[w], sizeof(StreamFeatures)),
+                0)
+          << "thread " << t << " call " << c;
+    }
+  }
 }
 
 TEST(StreamFeatures, GetCoversAllIds) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -22,27 +23,6 @@ std::vector<double> sinusoid(std::size_t n, double freq_hz, double rate_hz,
            std::sin(2.0 * pi * freq_hz * static_cast<double>(i) / rate_hz + phase);
   }
   return x;
-}
-
-TEST(Dft, FftMatchesDirectOnRandomInput) {
-  util::Rng rng(21);
-  // 96 is not a power of two -> direct path; 128 -> FFT path. Compare both
-  // against each other through zero-padding equivalence is fiddly, so
-  // instead verify FFT against a brute-force DFT at power-of-two size.
-  const std::size_t n = 128;
-  std::vector<double> x(n);
-  for (auto& v : x) v = rng.gaussian();
-
-  const auto fast = dft(x);
-  // Brute force.
-  for (std::size_t k = 0; k < n; k += 17) {
-    std::complex<double> acc{0.0, 0.0};
-    for (std::size_t i = 0; i < n; ++i) {
-      const double angle = -2.0 * pi * static_cast<double>(k * i) / static_cast<double>(n);
-      acc += x[i] * std::complex<double>(std::cos(angle), std::sin(angle));
-    }
-    EXPECT_NEAR(std::abs(fast[k] - acc), 0.0, 1e-9);
-  }
 }
 
 TEST(Dft, DirectPathMatchesBruteForce) {
@@ -76,10 +56,84 @@ TEST(Dft, ParsevalHolds) {
   EXPECT_NEAR(time_energy, freq_energy, 1e-6 * time_energy);
 }
 
-TEST(Dft, FftRejectsNonPowerOfTwo) {
-  std::vector<std::complex<double>> x(100);
-  EXPECT_THROW(fft_radix2(x), std::invalid_argument);
+TEST(RealFft, RejectsNonPowerOfTwoAndSizeMismatch) {
+  for (const std::size_t n : {0u, 1u, 3u, 100u, 300u}) {
+    EXPECT_THROW(RealFft{n}, std::invalid_argument) << n;
+  }
+  const RealFft plan(64);
+  EXPECT_EQ(plan.size(), 64u);
+  EXPECT_EQ(plan.bins(), 33u);
+  std::vector<double> x(64), out(33);
+  std::vector<double> short_x(63), short_out(32);
+  EXPECT_NO_THROW(plan.magnitude(x, out));
+  EXPECT_THROW(plan.magnitude(short_x, out), std::invalid_argument);
+  EXPECT_THROW(plan.magnitude(x, short_out), std::invalid_argument);
 }
+
+// The one-sided magnitude spectrum through the direct O(n^2) DFT oracle.
+std::vector<double> oracle_magnitude(const std::vector<double>& x) {
+  const std::size_t n = x.size();
+  const auto spec = dft(x);
+  std::vector<double> mag(n / 2 + 1);
+  for (std::size_t k = 0; k <= n / 2; ++k) {
+    const double scale = (k == 0 || k == n / 2) ? 1.0 : 2.0;
+    mag[k] = scale * std::abs(spec[k]) / static_cast<double>(n);
+  }
+  return mag;
+}
+
+void expect_matches_oracle(const std::vector<double>& x, const char* label) {
+  const auto expected = oracle_magnitude(x);
+  const RealFft plan(x.size());
+  std::vector<double> got(plan.bins());
+  plan.magnitude(x, got);
+  ASSERT_EQ(got.size(), expected.size());
+  double largest = 0.0;
+  for (const double v : expected) largest = std::max(largest, v);
+  // Zero for all-zero input, where every bin must be exactly zero.
+  const double tol = 1e-12 * largest;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_LE(std::abs(got[k] - expected[k]), tol)
+        << label << " n=" << x.size() << " bin " << k;
+  }
+  // The free function must take the same plan path.
+  EXPECT_EQ(magnitude_spectrum(x), got) << label << " n=" << x.size();
+}
+
+class RealFftSizes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RealFftSizes, MatchesDirectDftOnGaussianInput) {
+  const std::size_t n = GetParam();
+  util::Rng rng(1000 + n);
+  std::vector<double> x(n);
+  for (auto& v : x) v = rng.gaussian(0.5, 2.0);
+  expect_matches_oracle(x, "gaussian");
+}
+
+TEST_P(RealFftSizes, MatchesDirectDftOnBinAlignedTones) {
+  const std::size_t n = GetParam();
+  const double rate = 50.0;
+  // One tone at a time, on bins spread from DC to Nyquist inclusive.
+  for (std::size_t bin = 0; bin <= n / 2; bin += std::max<std::size_t>(1, n / 16)) {
+    const double freq = static_cast<double>(bin) * rate / static_cast<double>(n);
+    auto x = sinusoid(n, freq, rate, 1.75, 0.3);
+    for (auto& v : x) v += 0.25;
+    expect_matches_oracle(x, "tone");
+  }
+}
+
+TEST_P(RealFftSizes, AllZeroInputGivesZeroSpectrum) {
+  const std::vector<double> x(GetParam(), 0.0);
+  const RealFft plan(x.size());
+  std::vector<double> got(plan.bins(), -1.0);
+  plan.magnitude(x, got);
+  for (const double v : got) EXPECT_EQ(v, 0.0);
+  expect_matches_oracle(x, "zero");
+}
+
+INSTANTIATE_TEST_SUITE_P(PowersOfTwo, RealFftSizes,
+                         ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256, 512,
+                                           1024, 2048));
 
 TEST(MagnitudeSpectrum, PureToneAmplitude) {
   // Bin-aligned tone: amplitude must be recovered exactly.
@@ -91,7 +145,9 @@ TEST(MagnitudeSpectrum, PureToneAmplitude) {
   EXPECT_NEAR(mag[8], 2.5, 1e-9);
   // All other bins near zero.
   for (std::size_t k = 0; k < mag.size(); ++k) {
-    if (k != 8) EXPECT_LT(mag[k], 1e-9);
+    if (k != 8) {
+      EXPECT_LT(mag[k], 1e-9);
+    }
   }
 }
 
@@ -146,7 +202,7 @@ TEST(SpectralPeaks, HandlesTinyInput) {
   EXPECT_DOUBLE_EQ(peaks.peak_amplitude, 0.0);
 }
 
-// Parseval across sizes, both FFT and direct paths.
+// Parseval across sizes for the direct DFT.
 class DftSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DftSizes, ParsevalAcrossSizes) {

@@ -350,6 +350,20 @@ void BM_KrrDecisionBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_KrrDecisionBatch);
 
+// One 28-dim window against the same N=800 model — the on-phone shape, so
+// its per-window time reads directly against BM_KrrDecisionBatch's.
+void BM_KrrDecisionSingle(benchmark::State& state) {
+  const ml::Dataset train = blobs(400, 28, 25);
+  ml::KrrClassifier krr{ml::KrrConfig{}};
+  krr.fit(train.x, train.y);
+  const ml::Dataset probe = blobs(1, 28, 27);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(krr.decision(probe.x.row(0)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_KrrDecisionSingle);
+
 }  // namespace
 
 int main(int argc, char** argv) {

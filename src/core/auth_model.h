@@ -29,8 +29,10 @@ struct ContextModel {
   // This is the paper's confidence score CS(k) = x_k^T w*.
   double score(std::span<const double> raw_vector) const;
 
-  // Batched scoring of raw row vectors: one scaler pass plus one blocked
-  // kernel evaluation for the whole block. Row i equals score(raw.row(i)).
+  // Batched scoring of raw row vectors: one scaler pass for the whole block,
+  // then the classifier's decision_batch (exact dual KRR: per window, one
+  // row-kernel pass over the training rows, then num::dot). Row i equals
+  // score(raw.row(i)).
   std::vector<double> score_batch(const ml::Matrix& raw) const;
 };
 

@@ -26,9 +26,10 @@ class BinaryClassifier {
   virtual void fit(const Matrix& x, const std::vector<int>& y) = 0;
   // Real-valued score; >= 0 means "legitimate user".
   virtual double decision(std::span<const double> x) const = 0;
-  // Scores every row of `x`. The default loops decision(); models with a
-  // cheaper amortized form (e.g. KRR's blocked cross-kernel) override it.
-  // Overrides must return exactly decision(x.row(i)) per row.
+  // Scores every row of `x`. The default loops decision(); models override
+  // it to reuse per-call scratch (e.g. KRR's one row-kernel pass over the
+  // training rows, then num::dot, per window). Overrides must return
+  // exactly decision(x.row(i)) per row.
   virtual std::vector<double> decision_batch(const Matrix& x) const {
     std::vector<double> out(x.rows());
     for (std::size_t i = 0; i < x.rows(); ++i) out[i] = decision(x.row(i));

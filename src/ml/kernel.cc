@@ -36,8 +36,8 @@ std::string Kernel::name() const {
 
 namespace {
 
-// Tile edge for the blocked Gram/cross-kernel builders: a 64-row tile of
-// 28-dim doubles (~14 KiB) keeps both operand tiles resident in L1/L2.
+// Tile edge for the blocked Gram builder: a 64-row tile of 28-dim doubles
+// (~14 KiB) keeps both operand tiles resident in L1/L2.
 constexpr std::size_t kTile = 64;
 
 // One row of kernel values k(center, rows[j0..j1)) into `out`, with gamma
@@ -85,37 +85,19 @@ Matrix gram_matrix(const Matrix& x, const Kernel& kernel) {
 
 std::vector<double> kernel_vector(const Matrix& x, std::span<const double> z,
                                   const Kernel& kernel) {
-  SY_ASSERT(x.rows() == 0 || z.size() == x.cols(),
-            "kernel_vector: dimension mismatch");
   std::vector<double> out(x.rows());
-  if (x.rows() == 0) return out;
-  const double gamma = kernel.effective_gamma(x.cols());
-  kernel_row(x, 0, x.rows(), z, kernel, gamma, out.data());
+  kernel_vector(x, z, kernel, out);
   return out;
 }
 
-Matrix kernel_matrix(const Matrix& x, const Matrix& z, const Kernel& kernel) {
-  const std::size_t n = x.rows();
-  const std::size_t m = z.rows();
-  Matrix k(n, m);
-  if (n == 0 || m == 0) return k;
-  SY_ASSERT(x.cols() == z.cols(), "kernel_matrix: dimension mismatch");
-  const double gamma = kernel.effective_gamma(x.cols());
-  // Row i of the output is k(x_i, z_j) over a z-row tile — contiguous writes
-  // through the same fused row kernel as kernel_vector. The RBF kernel is
-  // symmetric in its operands lane-for-lane ((a-b)^2 == (b-a)^2 exactly), so
-  // column j still equals kernel_vector(x, z.row(j)) bit-for-bit on every
-  // backend.
-  for (std::size_t i0 = 0; i0 < n; i0 += kTile) {
-    const std::size_t i1 = std::min(i0 + kTile, n);
-    for (std::size_t j0 = 0; j0 < m; j0 += kTile) {
-      const std::size_t j1 = std::min(j0 + kTile, m);
-      for (std::size_t i = i0; i < i1; ++i) {
-        kernel_row(z, j0, j1, x.row(i), kernel, gamma, &k(i, j0));
-      }
-    }
-  }
-  return k;
+void kernel_vector(const Matrix& x, std::span<const double> z,
+                   const Kernel& kernel, std::span<double> out) {
+  SY_ASSERT(x.rows() == 0 || z.size() == x.cols(),
+            "kernel_vector: dimension mismatch");
+  SY_ASSERT(out.size() == x.rows(), "kernel_vector: output size mismatch");
+  if (x.rows() == 0) return;
+  kernel_row(x, 0, x.rows(), z, kernel, kernel.effective_gamma(x.cols()),
+             out.data());
 }
 
 }  // namespace sy::ml

@@ -32,13 +32,14 @@ struct Kernel {
 // Gram matrix K[i][j] = k(x_i, x_j) over the rows of `x`.
 Matrix gram_matrix(const Matrix& x, const Kernel& kernel);
 
-// Cross-kernel vector k_i = k(x_i, z) for all rows of `x`.
+// Cross-kernel vector k_i = k(x_i, z) for all rows of `x`: one fused row
+// kernel pass over every row of `x`.
 std::vector<double> kernel_vector(const Matrix& x, std::span<const double> z,
                                   const Kernel& kernel);
 
-// Cross-kernel matrix K[i][j] = k(x_i, z_j) over the rows of `x` and `z`,
-// computed in cache-sized row tiles. Column j equals kernel_vector(x,
-// z.row(j)) bit-for-bit; the tiling only reorders which entries are visited.
-Matrix kernel_matrix(const Matrix& x, const Matrix& z, const Kernel& kernel);
+// Same, written into `out` (length x.rows()), so a caller scoring many
+// windows against the same rows reuses one scratch buffer.
+void kernel_vector(const Matrix& x, std::span<const double> z,
+                   const Kernel& kernel, std::span<double> out);
 
 }  // namespace sy::ml

@@ -172,14 +172,12 @@ double KrrClassifier::decision(std::span<const double> x) const {
   if (weights_) {
     return dot(*weights_, x);
   }
-  // Route the dual path through the batch reduction so a single window
-  // scores bit-identically to the same window inside any batch, on every
-  // backend (the Authenticator batch-vs-single contract). On the scalar
-  // backend this is the same ascending-i accumulation as the historical
-  // dot(alpha_, kernel_vector(...)).
-  Matrix one(1, x.size());
-  std::copy(x.begin(), x.end(), one.row(0).begin());
-  return decision_batch(one).front();
+  // Exact dual (Eq. 6): one fused row-kernel pass over all N training rows,
+  // then num::dot against alpha. decision_batch takes this same per-window
+  // path, so a window scores bit-identically alone or at any batch position
+  // on every backend. On the scalar backend num::dot is the ascending-i
+  // accumulation of alpha_i * k(x_i, z).
+  return num::dot(alpha_, kernel_vector(train_x_, x, config_.kernel));
 }
 
 std::vector<double> KrrClassifier::decision_batch(const Matrix& x) const {
@@ -200,13 +198,13 @@ std::vector<double> KrrClassifier::decision_batch(const Matrix& x) const {
     for (std::size_t i = 0; i < x.rows(); ++i) out[i] = dot(*weights_, x.row(i));
     return out;
   }
-  // One blocked cross-kernel build amortizes the train_x_ streaming across
-  // all windows. The alpha reduction runs as contiguous row axpys; each
-  // column still accumulates alpha_[i] * k(i, j) in ascending i, matching
-  // dot(alpha_, k) on the scalar backend.
-  const Matrix k = kernel_matrix(train_x_, x, config_.kernel);
-  for (std::size_t i = 0; i < k.rows(); ++i) {
-    num::axpy(alpha_[i], k.row(i), out);
+  // Each window takes decision()'s path — one row-kernel pass over the
+  // training rows, then num::dot — with one N-length scratch buffer reused
+  // across the batch.
+  std::vector<double> k(train_x_.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    kernel_vector(train_x_, x.row(i), config_.kernel, k);
+    out[i] = num::dot(alpha_, k);
   }
   return out;
 }

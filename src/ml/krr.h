@@ -63,9 +63,9 @@ class KrrClassifier final : public BinaryClassifier {
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
   double decision(std::span<const double> x) const override;
-  // Batched scoring: one blocked cross-kernel build (dual) or row-wise dot
-  // (primal) for all windows at once; row i equals decision(x.row(i))
-  // bit-for-bit.
+  // Batched scoring: per window, one row-kernel pass over the training rows
+  // then num::dot (dual), a feature-map transform then dot (approximate), or
+  // one dot (primal); row i equals decision(x.row(i)) bit-for-bit.
   std::vector<double> decision_batch(const Matrix& x) const override;
   std::string name() const override;
   std::unique_ptr<BinaryClassifier> clone_untrained() const override;

@@ -83,7 +83,7 @@ TEST(Authenticator, BatchMatchesSingle) {
   for (std::size_t i = 0; i < windows.size(); ++i) {
     const auto single = auth.authenticate(windows[i]);
     EXPECT_EQ(batch[i].accepted, single.accepted);
-    EXPECT_DOUBLE_EQ(batch[i].confidence, single.confidence);
+    EXPECT_EQ(batch[i].confidence, single.confidence);
   }
 }
 

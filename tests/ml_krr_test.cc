@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "ml/dataset.h"
+#include "num/backend.h"
+#include "num/kernels.h"
 #include "util/rng.h"
 
 namespace sy::ml {
@@ -193,6 +198,156 @@ TEST(Krr, RhoControlsShrinkage) {
     mag_b += std::abs(b.decision(x));
   }
   EXPECT_GT(mag_a, mag_b);
+}
+
+// --- Exact dual scoring contract (docs/ARCHITECTURE.md, contract 1) -------
+// decision() and decision_batch() score each window through one row-kernel
+// pass over all N training rows, then num::dot against alpha. N values
+// straddle the 8-row group width of the SIMD row kernels.
+
+constexpr std::size_t kDualSizes[] = {1, 7, 8, 9, 64, 65, 800};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Runs the enclosing scope on `backend`, restoring the previous one on exit.
+class BackendScope {
+ public:
+  explicit BackendScope(num::Backend backend) : saved_(num::active_backend()) {
+    num::set_backend(backend);
+  }
+  ~BackendScope() { num::set_backend(saved_); }
+  BackendScope(const BackendScope&) = delete;
+  BackendScope& operator=(const BackendScope&) = delete;
+
+ private:
+  num::Backend saved_;
+};
+
+// Exact dual RBF model over `n` rows of dimension `dim`, fit on the scalar
+// backend so every backend scores the same alpha and X.
+KrrClassifier dual_rbf_model(std::size_t n, std::size_t dim, util::Rng& rng) {
+  Dataset data;
+  std::vector<double> x(dim);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int label = i % 2 == 0 ? +1 : -1;
+    for (auto& v : x) v = rng.gaussian(0.5 * label, 1.0);
+    data.add(x, label);
+  }
+  const BackendScope scalar(num::Backend::kScalar);
+  KrrClassifier krr{KrrConfig{}};
+  krr.fit(data.x, data.y);
+  EXPECT_FALSE(krr.is_primal());
+  return krr;
+}
+
+Matrix random_windows(std::size_t rows, std::size_t dim, util::Rng& rng) {
+  Matrix z(rows, dim);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (auto& v : z.row(i)) v = rng.gaussian(0.0, 1.5);
+  }
+  return z;
+}
+
+// The reference dual score, rebuilt from pack() (the dual layout: kernel
+// type, gamma, rho, mode, n, m, alpha..., X row-major...): the ascending
+// sum acc += alpha_i * exp(-gamma * ||x_i - z||^2), each kernel value from
+// the scalar row kernel. `magnitude` receives sum_i |alpha_i k_i|, the
+// scale a dot product's rounding error is relative to.
+double reference_decision(const std::vector<double>& packed,
+                          std::span<const double> z, double* magnitude) {
+  const auto n = static_cast<std::size_t>(packed[4]);
+  const auto m = static_cast<std::size_t>(packed[5]);
+  const double* alpha = packed.data() + 6;
+  const double* x = alpha + n;
+  const double gamma = Kernel::rbf(packed[1]).effective_gamma(m);
+  double acc = 0.0;
+  *magnitude = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double k = 0.0;
+    num::scalar::rbf_row_kernel(x + i * m, 1, m, z.data(), m, gamma, &k);
+    acc += alpha[i] * k;
+    *magnitude += std::abs(alpha[i] * k);
+  }
+  return acc;
+}
+
+TEST(KrrDualScoring, BatchPositionNeverChangesBitsOnAnyBackend) {
+  util::Rng rng(60);
+  constexpr std::size_t kBatch = 37;
+  for (const std::size_t n : kDualSizes) {
+    const KrrClassifier krr = dual_rbf_model(n, 28, rng);
+    const Matrix windows = random_windows(kBatch, 28, rng);
+    for (const num::Backend backend : num::all_backends()) {
+      if (!num::backend_available(backend)) continue;
+      const BackendScope scope(backend);
+      std::vector<double> single(kBatch);
+      for (std::size_t j = 0; j < kBatch; ++j) {
+        single[j] = krr.decision(windows.row(j));
+      }
+      // Rotate the batch so every window visits every position.
+      for (std::size_t shift = 0; shift < kBatch; ++shift) {
+        Matrix rotated(kBatch, 28);
+        for (std::size_t p = 0; p < kBatch; ++p) {
+          const auto src = windows.row((p + shift) % kBatch);
+          std::copy(src.begin(), src.end(), rotated.row(p).begin());
+        }
+        const std::vector<double> batch = krr.decision_batch(rotated);
+        ASSERT_EQ(batch.size(), kBatch);
+        for (std::size_t p = 0; p < kBatch; ++p) {
+          ASSERT_EQ(bits(batch[p]), bits(single[(p + shift) % kBatch]))
+              << "n=" << n << " backend=" << num::backend_name(backend)
+              << " shift=" << shift << " position=" << p;
+        }
+      }
+    }
+  }
+}
+
+TEST(KrrDualScoring, ScalarDecisionMatchesPackedReferenceBitwise) {
+  util::Rng rng(61);
+  const BackendScope scalar(num::Backend::kScalar);
+  for (const std::size_t dim : {3u, 14u, 28u}) {
+    for (const std::size_t n : kDualSizes) {
+      const KrrClassifier krr = dual_rbf_model(n, dim, rng);
+      const std::vector<double> packed = krr.pack();
+      const Matrix windows = random_windows(16, dim, rng);
+      const std::vector<double> batch = krr.decision_batch(windows);
+      for (std::size_t j = 0; j < windows.rows(); ++j) {
+        double magnitude = 0.0;
+        const double want =
+            reference_decision(packed, windows.row(j), &magnitude);
+        EXPECT_EQ(bits(krr.decision(windows.row(j))), bits(want))
+            << "n=" << n << " dim=" << dim << " window=" << j;
+        EXPECT_EQ(bits(batch[j]), bits(want))
+            << "n=" << n << " dim=" << dim << " window=" << j;
+      }
+    }
+  }
+}
+
+TEST(KrrDualScoring, SimdDecisionWithinToleranceOfScalar) {
+  util::Rng rng(62);
+  for (const std::size_t n : kDualSizes) {
+    const KrrClassifier krr = dual_rbf_model(n, 28, rng);
+    const std::vector<double> packed = krr.pack();
+    const Matrix windows = random_windows(16, 28, rng);
+    for (const num::Backend backend : num::all_backends()) {
+      if (backend == num::Backend::kScalar ||
+          !num::backend_available(backend)) {
+        continue;
+      }
+      const BackendScope scope(backend);
+      for (std::size_t j = 0; j < windows.rows(); ++j) {
+        double magnitude = 0.0;
+        const double want =
+            reference_decision(packed, windows.row(j), &magnitude);
+        EXPECT_NEAR(krr.decision(windows.row(j)), want,
+                    1e-12 * std::max(1.0, magnitude))
+            << "n=" << n << " backend=" << num::backend_name(backend)
+            << " window=" << j;
+      }
+    }
+  }
 }
 
 TEST(Kernel, SymmetryAndGram) {

@@ -2,9 +2,9 @@
 //
 // The paper reports < 21 ms end-to-end (context detection + authentication)
 // per 6 s window, 0.065 s training, ~3 MB memory. These benchmarks measure
-// feature extraction (per window and per 60 s session), context detection,
-// the decision, and one raw window end to end, and print a memory budget
-// for the resident model state.
+// feature extraction (per window, per stream, per 60 s session) and the
+// stream's transform alone, context detection, the decision, and one raw
+// window end to end, and print a memory budget for the resident model state.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -17,6 +17,7 @@
 #include "ml/dataset.h"
 #include "sensors/device.h"
 #include "sensors/population.h"
+#include "signal/dft.h"
 
 using namespace sy;
 
@@ -105,6 +106,34 @@ void BM_FeatureExtractionWindow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FeatureExtractionWindow)->Unit(benchmark::kMicrosecond);
+
+// window_features on one 300-sample magnitude stream (phone accel): the
+// time-domain passes, the padded 512-point transform and the peak search.
+void BM_WindowFeaturesOneStream(benchmark::State& state) {
+  auto& f = fixture();
+  const auto stream = f.window.phone.accel.magnitude();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.extractor.window_features(stream));
+  }
+}
+BENCHMARK(BM_WindowFeaturesOneStream)->Unit(benchmark::kMicrosecond);
+
+// One 512-point RealFft plan applied to one zero-padded, DC-removed window.
+void BM_RealFftMagnitude512(benchmark::State& state) {
+  auto& f = fixture();
+  const auto stream = f.window.phone.accel.magnitude();
+  const signal::RealFft fft(512);
+  std::vector<double> padded(fft.size(), 0.0);
+  const double mean = f.extractor.window_features(stream).mean;
+  for (std::size_t i = 0; i < stream.size(); ++i) padded[i] = stream[i] - mean;
+  std::vector<double> mag(fft.bins());
+  for (auto _ : state) {
+    fft.magnitude(padded, mag);
+    benchmark::DoNotOptimize(mag.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RealFftMagnitude512)->Unit(benchmark::kMicrosecond);
 
 // Feature extraction for a whole 60 s session (ten 6 s windows).
 void BM_FeatureExtractionSession60s(benchmark::State& state) {

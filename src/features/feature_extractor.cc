@@ -5,7 +5,6 @@
 
 #include "signal/dft.h"
 #include "signal/spectrum.h"
-#include "signal/stats.h"
 
 namespace sy::features {
 
@@ -75,19 +74,39 @@ std::size_t FeatureExtractor::transform_length(std::size_t n) const {
 StreamFeatures FeatureExtractor::window_features(
     std::span<const double> window) const {
   StreamFeatures f;
-  signal::RunningStats stats;
-  for (const double v : window) stats.add(v);
-  f.mean = stats.mean();
-  f.var = stats.variance();
-  f.max = stats.max();
-  f.min = stats.min();
-  f.ran = stats.range();
+  if (window.empty()) return f;
 
-  // Frequency domain. Optionally remove DC and zero-pad to a power of two.
+  // Pass 1, ascending: sum, min and max.
+  double sum = 0.0;
+  double lo = window[0];
+  double hi = window[0];
+  for (const double v : window) {
+    sum += v;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  // Rounding in the sum can put sum / n just outside [min, max], e.g. for a
+  // constant window; the clamp keeps a constant window's mean equal to its
+  // value and its variance exactly 0.
+  const double n = static_cast<double>(window.size());
+  f.mean = std::clamp(sum / n, lo, hi);
+  f.max = hi;
+  f.min = lo;
+  f.ran = hi - lo;
+
+  // Pass 2, ascending: the squared deviations for the population variance,
+  // while filling the transform buffer (optionally DC-removed, zero-padded
+  // to a power of two).
   const std::size_t padded = transform_length(window.size());
   std::vector<double> buf(padded, 0.0);
   const double dc = config_.remove_dc ? f.mean : 0.0;
-  for (std::size_t i = 0; i < window.size(); ++i) buf[i] = window[i] - dc;
+  double ss = 0.0;
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    const double d = window[i] - f.mean;
+    ss += d * d;
+    buf[i] = window[i] - dc;
+  }
+  f.var = ss / n;
 
   std::vector<double> mag;
   if (fft_ && fft_->size() == padded) {
@@ -100,8 +119,7 @@ StreamFeatures FeatureExtractor::window_features(
                                   config_.peak_guard_hz);
   // Undo the amplitude dilution introduced by zero-padding (the DFT is
   // scaled by 1/padded while the energy came from window.size() samples).
-  const double rescale =
-      static_cast<double>(padded) / static_cast<double>(window.size());
+  const double rescale = static_cast<double>(padded) / n;
   f.peak = peaks.peak_amplitude * rescale;
   f.peak_f = peaks.peak_frequency_hz;
   f.peak2 = peaks.peak2_amplitude * rescale;

@@ -75,7 +75,12 @@ class FeatureExtractor {
 
   const FeatureConfig& config() const { return config_; }
 
-  // Features of one already-cut window of magnitude samples.
+  // Features of one already-cut window of magnitude samples. The time
+  // domain takes two ascending passes: the first sums the samples and
+  // tracks Min/Max, giving Mean = sum / n (clamped into [Min, Max]); the
+  // second accumulates the squared deviations from Mean, giving the
+  // population variance Var = sum (x - Mean)^2 / n. An empty window yields
+  // all-zero features.
   StreamFeatures window_features(std::span<const double> window) const;
 
   // Segments a full stream and extracts features per window.

@@ -88,9 +88,23 @@ void RealFft::magnitude(std::span<const double> x,
     im[j] = x[2 * bitrev_[j] + 1];
   }
 
-  // Iterative radix-2 stages over split re/im arrays; butterflies of span
-  // 2h read the stage's h twiddles.
-  for (std::size_t h = 1; h < m; h <<= 1) {
+  // Iterative radix-2 stages over split re/im arrays. The span-2 stage's
+  // only twiddle is exactly 1, so each of its butterflies is one sum and one
+  // difference (n = 2 has no stage at all).
+  if (m >= 2) {
+    for (std::size_t j = 0; j < m; j += 2) {
+      const double ar = re[j], ai = im[j];
+      const double br = re[j + 1], bi = im[j + 1];
+      re[j] = ar + br;
+      im[j] = ai + bi;
+      re[j + 1] = ar - br;
+      im[j + 1] = ai - bi;
+    }
+  }
+  // Butterflies of span 2h >= 4 read the stage's h twiddles, two butterflies
+  // per iteration (h is even). All loads precede the stores, so the pair
+  // maps onto one two-lane vector operation per arithmetic step.
+  for (std::size_t h = 2; h < m; h <<= 1) {
     const double* wr = stage_re_.data() + (h - 1);
     const double* wi = stage_im_.data() + (h - 1);
     for (std::size_t base = 0; base < m; base += 2 * h) {
@@ -98,13 +112,25 @@ void RealFft::magnitude(std::span<const double> x,
       double* ai = im + base;
       double* br = ar + h;
       double* bi = ai + h;
-      for (std::size_t j = 0; j < h; ++j) {
-        const double tr = br[j] * wr[j] - bi[j] * wi[j];
-        const double ti = br[j] * wi[j] + bi[j] * wr[j];
-        br[j] = ar[j] - tr;
-        bi[j] = ai[j] - ti;
-        ar[j] += tr;
-        ai[j] += ti;
+      for (std::size_t j = 0; j < h; j += 2) {
+        const double ar0 = ar[j], ar1 = ar[j + 1];
+        const double ai0 = ai[j], ai1 = ai[j + 1];
+        const double br0 = br[j], br1 = br[j + 1];
+        const double bi0 = bi[j], bi1 = bi[j + 1];
+        const double wr0 = wr[j], wr1 = wr[j + 1];
+        const double wi0 = wi[j], wi1 = wi[j + 1];
+        const double tr0 = br0 * wr0 - bi0 * wi0;
+        const double tr1 = br1 * wr1 - bi1 * wi1;
+        const double ti0 = br0 * wi0 + bi0 * wr0;
+        const double ti1 = br1 * wi1 + bi1 * wr1;
+        br[j] = ar0 - tr0;
+        br[j + 1] = ar1 - tr1;
+        bi[j] = ai0 - ti0;
+        bi[j + 1] = ai1 - ti1;
+        ar[j] = ar0 + tr0;
+        ar[j + 1] = ar1 + tr1;
+        ai[j] = ai0 + ti0;
+        ai[j + 1] = ai1 + ti1;
       }
     }
   }

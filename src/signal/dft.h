@@ -23,8 +23,12 @@ std::vector<std::complex<double>> dft(std::span<const double> x);
 // Real-input FFT plan for one power-of-two length n >= 2. Construction
 // precomputes the bit-reversal order, the per-stage twiddles of the
 // n/2-point complex FFT, and the split twiddles exp(-2*pi*i*k/n) that
-// separate the packed even/odd halves. The plan is never mutated after
-// construction, so one instance serves any number of threads.
+// separate the packed even/odd halves. magnitude() runs a dedicated span-2
+// stage (twiddle 1: one sum and one difference per butterfly), then every
+// wider stage two butterflies at a time so the compiler can pair them into
+// two-lane vector operations; per element the arithmetic is the textbook
+// butterfly, so the pairing changes no result. The plan is never mutated
+// after construction, so one instance serves any number of threads.
 class RealFft {
  public:
   // Throws std::invalid_argument unless n is a power of two >= 2.

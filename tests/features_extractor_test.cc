@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -11,7 +12,6 @@
 #include "sensors/population.h"
 #include "signal/dft.h"
 #include "signal/spectrum.h"
-#include "signal/stats.h"
 
 namespace sy::features {
 namespace {
@@ -191,18 +191,28 @@ std::vector<std::vector<double>> synthesized_windows() {
   return out;
 }
 
-// window_features recomputed with the spectrum taken from the direct O(n^2)
-// DFT oracle instead of the FFT plan.
+// window_features recomputed from its definition: the time domain as two
+// ascending passes (sum, min and max with the mean clamped into [min, max],
+// then the squared deviations from that mean), the spectrum from the direct
+// O(n^2) DFT oracle instead of the FFT plan.
 StreamFeatures oracle_window_features(std::span<const double> window,
                                       const FeatureConfig& config) {
   StreamFeatures f;
-  signal::RunningStats stats;
-  for (const double v : window) stats.add(v);
-  f.mean = stats.mean();
-  f.var = stats.variance();
-  f.max = stats.max();
-  f.min = stats.min();
-  f.ran = stats.range();
+  double sum = 0.0;
+  f.max = window[0];
+  f.min = window[0];
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    sum += window[i];
+    f.max = std::max(f.max, window[i]);
+    f.min = std::min(f.min, window[i]);
+  }
+  f.mean = std::clamp(sum / static_cast<double>(window.size()), f.min, f.max);
+  double ss = 0.0;
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    ss += (window[i] - f.mean) * (window[i] - f.mean);
+  }
+  f.var = ss / static_cast<double>(window.size());
+  f.ran = f.max - f.min;
 
   std::size_t padded = 1;
   while (padded < window.size()) padded <<= 1;
@@ -246,6 +256,63 @@ TEST(WindowFeatures, MatchDirectDftOracleOnSynthesizedWindows) {
     EXPECT_GT(want.peak, 0.0) << w;
     EXPECT_LE(std::abs(got.peak - want.peak), 1e-12 * want.peak) << w;
     EXPECT_LE(std::abs(got.peak2 - want.peak2), 1e-12 * want.peak) << w;
+  }
+}
+
+// Mean and population variance by two ascending passes in long double.
+struct LongDoubleMoments {
+  long double mean, var;
+};
+LongDoubleMoments long_double_moments(std::span<const double> window) {
+  long double sum = 0.0L;
+  for (const double v : window) sum += v;
+  const long double n = static_cast<long double>(window.size());
+  const long double mean = sum / n;
+  long double ss = 0.0L;
+  for (const double v : window) ss += (v - mean) * (v - mean);
+  return {mean, ss / n};
+}
+
+TEST(WindowFeatures, TimeDomainMatchesLongDoubleReference) {
+  const FeatureExtractor extractor{FeatureConfig{}};
+  const auto windows = synthesized_windows();
+  ASSERT_EQ(windows.size(), 24u);
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const StreamFeatures got = extractor.window_features(windows[w]);
+    const LongDoubleMoments want = long_double_moments(windows[w]);
+    ASSERT_GT(want.var, 0.0L) << w;
+    EXPECT_LE(std::abs(static_cast<long double>(got.mean) - want.mean),
+              1e-14L * std::abs(want.mean))
+        << w;
+    EXPECT_LE(std::abs(static_cast<long double>(got.var) - want.var),
+              1e-14L * want.var)
+        << w;
+  }
+
+  // A large offset over a tiny spread: the deviations, not the raw squares,
+  // carry the variance, so alternating 1e9 and 1e9 + 1 gives 0.25.
+  std::vector<double> offset(300);
+  for (std::size_t i = 0; i < offset.size(); ++i) {
+    offset[i] = 1e9 + static_cast<double>(i % 2);
+  }
+  const StreamFeatures big = extractor.window_features(offset);
+  EXPECT_NEAR(big.var, 0.25, 1e-6);
+  EXPECT_EQ(big.mean, 1e9 + 0.5);
+
+  // 300 * 9.81 does not sum exactly, yet a constant window keeps its value
+  // as the mean and has no spread at all.
+  const std::vector<double> constant(300, 9.81);
+  const StreamFeatures flat = extractor.window_features(constant);
+  EXPECT_EQ(flat.mean, 9.81);
+  EXPECT_EQ(flat.var, 0.0);
+  EXPECT_EQ(flat.ran, 0.0);
+}
+
+TEST(WindowFeatures, EmptyWindowIsAllZero) {
+  const FeatureExtractor extractor{FeatureConfig{}};
+  const StreamFeatures f = extractor.window_features({});
+  for (const FeatureId id : kAllFeatures) {
+    EXPECT_EQ(f.get(id), 0.0) << feature_name(id);
   }
 }
 

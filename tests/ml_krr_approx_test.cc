@@ -62,7 +62,9 @@ TEST(LandmarkSelection, DeterministicDistinctAscendingInRange) {
   ASSERT_EQ(a.size(), 64u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_LT(a[i], 10000u);
-    if (i > 0) EXPECT_LT(a[i - 1], a[i]);  // ascending implies distinct
+    if (i > 0) {
+      EXPECT_LT(a[i - 1], a[i]);  // ascending implies distinct
+    }
   }
   // Different seeds pick different sets (astronomically unlikely otherwise).
   EXPECT_NE(a, sample_landmark_indices(10000, 64, 78));

@@ -1,8 +1,8 @@
-// Batched multi-user enrollment throughput: BatchAuthServer (work-stealing
-// ThreadPool) vs. the sequential AuthServer loop, on identical synthetic
-// populations. Also proves the determinism contract: a batch of one must be
-// bit-identical to AuthServer::train_user_model given the same store,
-// config, and RNG seed.
+// Batched multi-user enrollment throughput: AuthServer::train_user_models
+// (work-stealing ThreadPool) vs. the sequential train_user_model loop, on
+// identical synthetic populations. Also proves the determinism contract: a
+// batch of one must be bit-identical to train_user_model given the same
+// store, config, and RNG seed.
 //
 // Per-user enrollment latency is recorded through obs::Span into a local
 // metrics registry (bench.enroll_sequential_ns / bench.enroll_batch_ns), and
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/auth_server.h"
-#include "core/batch_auth_server.h"
 #include "obs/registry.h"
 #include "obs/span.h"
 #include "util/args.h"
@@ -93,7 +92,7 @@ int run(int argc, char** argv) {
 
   util::ThreadPool pool(threads);
   core::AuthServer sequential;
-  core::BatchAuthServer batched({}, {}, &pool);
+  core::AuthServer batched({}, {}, nullptr, &pool);
   for (std::size_t u = 0; u < n_users; ++u) {
     for (const auto& [context, vectors] : positives[u]) {
       sequential.contribute(static_cast<int>(u), context, vectors);

@@ -230,9 +230,10 @@ BENCHMARK(BM_CholeskyLookahead)->Arg(800)->Arg(1600)->Arg(3200)
 // The point of the approximate path: per-user training cost is independent
 // of how many vectors the population store holds. BM_ApproxTrainUser times
 // exactly what a steady-state enrollment pays (shared statistics prewarmed,
-// as BatchAuthServer does before fanning out); BM_ApproxSharedStats times
-// the amortized per-context build; BM_ExactTrainFullPop is the contrast —
-// exact KRR forced to learn from the whole population.
+// as AuthServer::train_user_models does before fanning out);
+// BM_ApproxSharedStats times the amortized per-context build;
+// BM_ExactTrainFullPop is the contrast — exact KRR forced to learn from the
+// whole population.
 
 constexpr auto kBenchContext = sensors::DetectedContext::kStationary;
 constexpr std::size_t kPopDim = 14;

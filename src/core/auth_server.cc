@@ -1,11 +1,26 @@
 #include "core/auth_server.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/approx_training.h"
 #include "ml/dataset.h"
 
 namespace sy::core {
+
+namespace {
+
+// A vector-free upload (no context, or only empty context lists) would train
+// a model with no context, which every later score refuses.
+void require_vectors(const VectorsByContext* positives) {
+  if (positives == nullptr ||
+      std::all_of(positives->begin(), positives->end(),
+                  [](const auto& entry) { return entry.second.empty(); })) {
+    throw std::invalid_argument("AuthServer: no positive vectors uploaded");
+  }
+}
+
+}  // namespace
 
 void CowPopulationStore::contribute(
     int contributor_token, sensors::DetectedContext context,
@@ -27,12 +42,43 @@ std::size_t CowPopulationStore::store_size(
   return it == data_->end() ? 0 : it->second.size();
 }
 
+void NetworkLink::set(NetworkConfig config) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  config_ = config;
+}
+
+TransferStats NetworkLink::transfers() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
+}
+
+void NetworkLink::transfer(std::size_t bytes, bool upload) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!config_.available) {
+    throw NetworkUnavailableError(
+        "NetworkLink: network unavailable, transfer cannot complete");
+  }
+  const double seconds =
+      config_.latency_ms * 1e-3 +
+      static_cast<double>(bytes) * 8.0 / (config_.bandwidth_mbps * 1e6);
+  stats_.total_delay_ms += seconds * 1e3;
+  if (upload) {
+    ++stats_.uploads;
+    stats_.bytes_up += bytes;
+  } else {
+    ++stats_.downloads;
+    stats_.bytes_down += bytes;
+  }
+}
+
 AuthServer::AuthServer(TrainingConfig config, NetworkConfig net,
-                       std::shared_ptr<PopulationStoreBackend> store)
+                       std::shared_ptr<PopulationStoreBackend> store,
+                       util::ThreadPool* pool)
     : config_(config),
-      net_(net),
+      link_(net),
       store_(store != nullptr ? std::move(store)
                               : std::make_shared<CowPopulationStore>()),
+      pool_(pool),
       approx_cache_(std::make_shared<ApproxStatsCache>()) {}
 
 void AuthServer::contribute(int contributor_token,
@@ -41,35 +87,13 @@ void AuthServer::contribute(int contributor_token,
   store_->contribute(contributor_token, context, vectors);
 }
 
-void apply_transfer(TransferStats& stats, const NetworkConfig& net,
-                    std::size_t bytes, bool upload) {
-  if (!net.available) {
-    throw NetworkUnavailableError(
-        "apply_transfer: network unavailable, transfer cannot complete");
-  }
-  const double seconds =
-      net.latency_ms * 1e-3 +
-      static_cast<double>(bytes) * 8.0 / (net.bandwidth_mbps * 1e6);
-  stats.total_delay_ms += seconds * 1e3;
-  if (upload) {
-    ++stats.uploads;
-    stats.bytes_up += bytes;
-  } else {
-    ++stats.downloads;
-    stats.bytes_down += bytes;
-  }
-}
-
-void AuthServer::simulate_transfer(std::size_t bytes, bool upload) {
-  apply_transfer(transfers_, net_, bytes, upload);
-}
-
 void AuthServer::account_upload(const VectorsByContext& positives) {
-  simulate_transfer(upload_bytes(positives), /*upload=*/true);
+  require_vectors(&positives);
+  link_.upload(upload_bytes(positives));
 }
 
 void AuthServer::account_model_download(const AuthModel& model) {
-  simulate_transfer(model_download_bytes(model), /*upload=*/false);
+  link_.download(model_download_bytes(model));
 }
 
 std::size_t upload_bytes(const VectorsByContext& positives) {
@@ -145,22 +169,61 @@ AuthModel train_user_from_store(const PopulationStore& store,
 AuthModel AuthServer::train_user_model(int user_token,
                                        const VectorsByContext& positives,
                                        util::Rng& rng, int version) {
-  if (!net_.available) {
-    throw NetworkUnavailableError("AuthServer: network unavailable");
-  }
-  if (positives.empty()) {
-    throw std::invalid_argument("AuthServer: no positive vectors uploaded");
-  }
+  account_upload(positives);
+  return train_uploaded(user_token, positives, rng, version);
+}
 
-  simulate_transfer(upload_bytes(positives), /*upload=*/true);
-
+AuthModel AuthServer::train_uploaded(int user_token,
+                                     const VectorsByContext& positives,
+                                     util::Rng& rng, int version) {
   const std::shared_ptr<const PopulationStore> snapshot = store_->snapshot();
   AuthModel model = train_user_from_store(*snapshot, config_, user_token,
                                           positives, rng, version,
                                           approx_cache_.get());
-
-  simulate_transfer(model_download_bytes(model), /*upload=*/false);
+  account_model_download(model);
   return model;
+}
+
+std::vector<AuthModel> AuthServer::train_user_models(
+    std::span<const EnrollmentRequest> requests) {
+  // Reject a bad request before the first upload is accounted. Uploads are
+  // then accounted up front (request order), matching the sequential path
+  // where the upload happens before — and survives — a failed training.
+  for (const auto& request : requests) require_vectors(request.positives);
+  for (const auto& request : requests) account_upload(*request.positives);
+
+  // Immutable snapshot shared (lock-free) by every worker.
+  const std::shared_ptr<const PopulationStore> snapshot = store_->snapshot();
+  std::vector<AuthModel> models(requests.size());
+
+  // Approximate modes: build the shared per-context statistics once, before
+  // the fan-out, so workers hit the cache instead of racing to build under
+  // its lock. One (context, dim) pair per batch is the common case.
+  if (config_.krr.mode != ml::TrainingMode::kExact) {
+    for (const auto& request : requests) {
+      for (const auto& [context, pos_vectors] : *request.positives) {
+        if (pos_vectors.empty()) continue;
+        const auto it = snapshot->find(context);
+        if (it == snapshot->end() || it->second.empty()) continue;
+        approx_cache_->get(context, it->second, pos_vectors.front().size(),
+                           config_.krr);
+      }
+    }
+  }
+
+  util::ThreadPool& pool =
+      pool_ != nullptr ? *pool_ : util::ThreadPool::shared();
+  pool.parallel_for(requests.size(), [&](std::size_t i) {
+    const EnrollmentRequest& request = requests[i];
+    util::Rng rng(request.rng_seed);
+    models[i] = train_user_from_store(*snapshot, config_, request.user_token,
+                                      *request.positives, rng, request.version,
+                                      approx_cache_.get());
+  });
+
+  // Deterministic download accounting: request order, after the join.
+  for (const auto& model : models) account_model_download(model);
+  return models;
 }
 
 std::size_t AuthServer::store_size(sensors::DetectedContext context) const {

@@ -5,6 +5,9 @@
 // uploads the legitimate user's authentication feature vectors; the server
 // draws balanced anonymized impostor vectors from the other contributors,
 // trains one KRR model per context, and ships the model bundle back.
+// Enrollments are independent, so a batch of them fans out across the
+// work-stealing ThreadPool against one immutable population snapshot, with a
+// per-request RNG seed that keeps the result independent of scheduling.
 // A simple network simulator accounts for transfer sizes and latency —
 // training is the only phase that needs connectivity (§III).
 #pragma once
@@ -12,6 +15,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "ml/krr.h"
 #include "sensors/types.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sy::core {
 
@@ -49,16 +55,32 @@ struct NetworkUnavailableError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// Accounts one simulated transfer against `stats` using the latency/bandwidth
-// network model; shared by AuthServer and BatchAuthServer. Throws
-// NetworkUnavailableError when the network is down — a transfer over a dead
-// link must never silently succeed.
-void apply_transfer(TransferStats& stats, const NetworkConfig& net,
-                    std::size_t bytes, bool upload);
+// The simulated phone<->cloud link and every transfer accounted over it: one
+// NetworkConfig and one TransferStats behind one mutex, so concurrent
+// callers (gateway request threads uploading, pool workers shipping retrained
+// models) account exactly. Each transfer costs latency + bytes / bandwidth.
+class NetworkLink {
+ public:
+  explicit NetworkLink(NetworkConfig config = {}) : config_(config) {}
 
-// Wire sizes of the two transfer payloads (8 bytes per double), shared by
-// AuthServer, BatchAuthServer, and serve::AuthGateway so the simulated
-// accounting can never drift between them.
+  // Account one transfer. Throws NetworkUnavailableError, accounting
+  // nothing, when the link is down: a transfer over a dead link must never
+  // silently succeed.
+  void upload(std::size_t bytes) { transfer(bytes, /*upload=*/true); }
+  void download(std::size_t bytes) { transfer(bytes, /*upload=*/false); }
+
+  void set(NetworkConfig config);
+  TransferStats transfers() const;
+
+ private:
+  void transfer(std::size_t bytes, bool upload);
+
+  mutable std::mutex mutex_;
+  NetworkConfig config_;
+  TransferStats stats_;
+};
+
+// Wire sizes of the two transfer payloads (8 bytes per double).
 std::size_t upload_bytes(const VectorsByContext& positives);
 std::size_t model_download_bytes(const AuthModel& model);
 
@@ -73,11 +95,11 @@ struct TrainingConfig {
 // structure whose snapshots share immutable vector blocks instead of
 // deep-copying them.
 
-// Contribution/snapshot backend behind AuthServer and BatchAuthServer.
-// Implementations choose their own synchronization contract:
-// CowPopulationStore (below) keeps the servers' historical
-// externally-synchronized single-map behavior; serve::ShardedPopulationStore
-// is internally synchronized and scales contribution across shards.
+// Contribution/snapshot backend behind AuthServer. Implementations choose
+// their own synchronization contract: CowPopulationStore (below) keeps the
+// server's historical externally-synchronized single-map behavior;
+// serve::ShardedPopulationStore is internally synchronized and scales
+// contribution across shards.
 class PopulationStoreBackend {
  public:
   virtual ~PopulationStoreBackend() = default;
@@ -121,10 +143,11 @@ class CowPopulationStore final : public PopulationStoreBackend {
 class ApproxStatsCache;
 
 // Trains one user's per-context model bundle against an immutable store
-// snapshot. This is the single training kernel shared by AuthServer
-// (sequential) and BatchAuthServer (threaded): given the same store, request,
-// and RNG state both produce bit-identical models. Throws std::runtime_error
-// when the store lacks impostor data for a requested context.
+// snapshot. This is the single training kernel behind every AuthServer path
+// (train_user_model, the threaded train_user_models, and the RetrainQueue):
+// given the same store, request, and RNG state all produce bit-identical
+// models. Throws std::runtime_error when the store lacks impostor data for a
+// requested context.
 //
 // When config.krr.mode is kNystrom or kRff this routes to the approximate
 // trainer (core/approx_training.h): `rng` goes unused (the approximate path
@@ -138,14 +161,35 @@ AuthModel train_user_from_store(const PopulationStore& store,
                                 util::Rng& rng, int version,
                                 ApproxStatsCache* stats_cache = nullptr);
 
+struct EnrollmentRequest {
+  int user_token{0};
+  // Not owned; must outlive train_user_models().
+  const VectorsByContext* positives{nullptr};
+  // Per-request stream seed: makes each user's impostor draw independent of
+  // batch composition and scheduling order.
+  std::uint64_t rng_seed{0};
+  int version{1};
+};
+
+// The one cloud trainer. Every upload is rejected with std::invalid_argument
+// when it holds no vector at all (no context, or only empty context lists),
+// before any transfer is accounted: such an upload would train a model with
+// no context, which every later score refuses.
+//
+// Thread-safety: the network link and the approximate-statistics cache are
+// internally synchronized. contribute() and the training paths are as
+// thread-safe as the store backend — externally synchronized over the
+// default CowPopulationStore, concurrent over serve::ShardedPopulationStore.
 class AuthServer {
  public:
   // `store` is the contribution/snapshot backend; null means a private
   // CowPopulationStore (the historical single-map behavior). Injecting a
   // shared serve::ShardedPopulationStore lets many servers/gateways feed one
-  // population.
+  // population. `pool` runs train_user_models; null means the process-wide
+  // ThreadPool::shared().
   explicit AuthServer(TrainingConfig config = {}, NetworkConfig net = {},
-                      std::shared_ptr<PopulationStoreBackend> store = nullptr);
+                      std::shared_ptr<PopulationStoreBackend> store = nullptr,
+                      util::ThreadPool* pool = nullptr);
 
   // Anonymized contribution: vectors enter the population store without any
   // user identifier (contributor ids are only used to avoid self-matching
@@ -154,35 +198,54 @@ class AuthServer {
                   const std::vector<std::vector<double>>& vectors);
 
   // Trains per-context models from the user's uploaded positives plus
-  // anonymized impostor samples. Throws NetworkUnavailableError when the
-  // network is unavailable, std::runtime_error when the store lacks impostor
-  // data for a context.
+  // anonymized impostor samples: account_upload, then train_uploaded.
+  // Throws NetworkUnavailableError when the network is unavailable,
+  // std::runtime_error when the store lacks impostor data for a context.
   AuthModel train_user_model(int user_token, const VectorsByContext& positives,
                              util::Rng& rng, int version = 1);
 
-  // Public transfer accounting for out-of-band flows (the async retrain
-  // bridge uploads drift windows and downloads the finished model around the
-  // serve::RetrainQueue rather than through train_user_model). Both throw
-  // NetworkUnavailableError when the link is down.
+  // The second half of train_user_model, for callers that act between the
+  // upload and the snapshot (serve::AuthGateway contributes the upload to
+  // the population first): trains against the current store snapshot and
+  // accounts the model download. The upload must already be accounted.
+  AuthModel train_uploaded(int user_token, const VectorsByContext& positives,
+                           util::Rng& rng, int version);
+
+  // Trains all requests concurrently on the pool against one store
+  // snapshot; result[i] corresponds to requests[i]. Uploads are accounted
+  // up front and downloads after the join, both in request order, so
+  // TransferStats are deterministic too. Throws on network unavailability
+  // or any per-request training failure (first failure wins, after the
+  // batch drains). A batch of one is bit-identical to train_user_model
+  // given the same store, config, and seed.
+  std::vector<AuthModel> train_user_models(
+      std::span<const EnrollmentRequest> requests);
+
+  // Transfer accounting for flows that upload and download around an
+  // asynchronous trainer (serve::RetrainQueue) instead of through
+  // train_user_model. Both throw NetworkUnavailableError when the link is
+  // down; account_upload also rejects a vector-free upload.
   void account_upload(const VectorsByContext& positives);
   void account_model_download(const AuthModel& model);
 
   std::size_t store_size(sensors::DetectedContext context) const;
-  const TransferStats& transfers() const { return transfers_; }
-  void set_network(NetworkConfig net) { net_ = net; }
+  TransferStats transfers() const { return link_.transfers(); }
+  void set_network(NetworkConfig net) { link_.set(net); }
   const std::shared_ptr<PopulationStoreBackend>& store() const {
     return store_;
   }
+  // Shared approximate-training statistics, reused across train calls while
+  // the snapshot prefix is unchanged (and handed to serve::RetrainQueue so
+  // async retrains share it). Untouched in exact mode.
+  const std::shared_ptr<ApproxStatsCache>& approx_cache() const {
+    return approx_cache_;
+  }
 
  private:
-  void simulate_transfer(std::size_t bytes, bool upload);
-
   TrainingConfig config_;
-  NetworkConfig net_;
-  TransferStats transfers_;
+  NetworkLink link_;
   std::shared_ptr<PopulationStoreBackend> store_;
-  // Shared approximate-training statistics, reused across train calls while
-  // the snapshot prefix is unchanged. Untouched in exact mode.
+  util::ThreadPool* pool_;  // not owned
   std::shared_ptr<ApproxStatsCache> approx_cache_;
 };
 

@@ -26,6 +26,7 @@ AuthGateway::AuthGateway(GatewayConfig config, util::ThreadPool* pool)
       cache_(config.cache_bytes, [this](int user) { return load_model(user); },
              &registry_),
       pool_(pool != nullptr ? pool : &util::ThreadPool::shared()),
+      server_(config.training, config.network, store_, pool_),
       score_ns_(&registry_.histogram("gateway.score_ns")),
       score_cache_fetch_ns_(
           &registry_.histogram("gateway.score.cache_fetch_ns")),
@@ -49,22 +50,21 @@ AuthGateway::AuthGateway(GatewayConfig config, util::ThreadPool* pool)
           &registry_.histogram("gateway.session.detection_latency_ns")),
       bundles_deferred_(&registry_.counter("gateway.bundles_deferred")),
       bundles_replayed_(&registry_.counter("gateway.bundles_replayed")),
-      net_(config.network),
-      approx_cache_(std::make_shared<core::ApproxStatsCache>()),
       queue_(
           store_.get(), config.training,
           [this](int user, const core::AuthModel& model) {
             // Ship the fresh bundle to the phone, then make it live.
-            account_transfer(core::model_download_bytes(model), /*upload=*/false);
+            server_.account_model_download(model);
             (void)install_model(
                 user, std::make_shared<const core::AuthModel>(model));
           },
-          pool, approx_cache_.get(), &registry_, config.retrain_max_pending) {
+          pool, server_.approx_cache().get(), &registry_,
+          config.retrain_max_pending) {
   // Foreign state sampled at snapshot time. The approx-cache callbacks keep
   // the shared_ptr alive; the pool (caller-owned or the process-wide shared
   // one) outlives this gateway by contract.
   {
-    auto cache = approx_cache_;
+    auto cache = server_.approx_cache();
     registry_.register_callback_gauge("approx.stats_hits", [cache] {
       return static_cast<std::int64_t>(cache->stats().hits);
     });
@@ -190,16 +190,6 @@ void AuthGateway::recover_persisted_state() {
 
 std::string AuthGateway::model_path(int user_token) const {
   return config_.model_dir + "/user_" + std::to_string(user_token) + ".symd";
-}
-
-void AuthGateway::account_transfer(std::size_t bytes, bool upload) {
-  std::lock_guard<std::mutex> lock(transfer_mutex_);
-  core::apply_transfer(transfers_, net_, bytes, upload);
-}
-
-void AuthGateway::set_network(core::NetworkConfig net) {
-  std::lock_guard<std::mutex> lock(transfer_mutex_);
-  net_ = net;
 }
 
 void AuthGateway::contribute(int contributor_token,
@@ -405,7 +395,7 @@ std::shared_ptr<const core::AuthModel> AuthGateway::enroll(
     std::uint64_t rng_seed, bool contribute_positives) {
   obs::Span enroll_span(enroll_ns_);
   enrolls_->inc();
-  account_transfer(core::upload_bytes(positives), /*upload=*/true);
+  server_.account_upload(positives);
   // Contribute first, then snapshot: rebuilds are incremental (only the
   // contributed contexts re-merge, as block-pointer concatenation), so the
   // per-enroll rebuild is O(delta) and later enrollees immediately draw
@@ -416,8 +406,6 @@ std::shared_ptr<const core::AuthModel> AuthGateway::enroll(
       store_->contribute(user_token, context, vectors);
     }
   }
-  const std::shared_ptr<const core::PopulationStore> snapshot =
-      store_->snapshot();
   // Reserve the next version (first enrollment = 1): a re-enrollment must
   // install — training a fixed version 1 would lose against the stale-install
   // guard and silently diverge the served model from the returned one.
@@ -430,10 +418,7 @@ std::shared_ptr<const core::AuthModel> AuthGateway::enroll(
   }
   util::Rng rng(rng_seed);
   auto model = std::make_shared<const core::AuthModel>(
-      core::train_user_from_store(*snapshot, config_.training, user_token,
-                                  positives, rng, version,
-                                  approx_cache_.get()));
-  account_transfer(core::model_download_bytes(*model), /*upload=*/false);
+      server_.train_uploaded(user_token, positives, rng, version));
   (void)install_model(user_token, model);
   return model;
 }
@@ -610,7 +595,7 @@ std::shared_future<core::AuthModel> AuthGateway::report_drift(
   // the training itself lands in retrain.train_ns on the worker.
   obs::Span submit_span(drift_submit_ns_);
   drift_reports_->inc();
-  account_transfer(core::upload_bytes(positives), /*upload=*/true);
+  server_.account_upload(positives);
   RetrainQueue::Request request;
   request.user_token = user_token;
   request.positives = std::move(positives);
@@ -638,10 +623,7 @@ AuthGateway::Stats AuthGateway::stats() const {
   out.cache = cache_.stats();
   out.queue = queue_.stats();
   out.store = store_->stats();
-  {
-    std::lock_guard<std::mutex> lock(transfer_mutex_);
-    out.transfers = transfers_;
-  }
+  out.transfers = server_.transfers();
   {
     std::lock_guard<std::mutex> lock(version_mutex_);
     out.enrolled_users = versions_.size();

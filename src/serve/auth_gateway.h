@@ -1,10 +1,12 @@
 /// \file
 /// Multi-tenant authentication gateway — the cloud side of Fig. 1 scaled up.
 ///
-/// Fronts the existing core with the three serve:: pieces:
+/// Fronts the one cloud trainer (core::AuthServer, built over the gateway's
+/// store) with the three serve:: pieces:
 ///   contribute()   -> ShardedPopulationStore (per-shard locking)
-///   enroll()       -> synchronous training against the current population
-///                     snapshot; bundle persisted (model_dir) and cached
+///   enroll()       -> synchronous AuthServer training against the current
+///                     population snapshot; bundle persisted (model_dir) and
+///                     cached
 ///   score_batch()  -> ModelCache lookup (LRU over ModelStore bytes; misses
 ///                     reload persisted bundles) + blocked per-context scoring
 ///   report_drift() -> RetrainQueue; the finished model is swapped into the
@@ -12,9 +14,9 @@
 ///                     the returned future resolves — scoring never blocks on
 ///                     a retrain (§V-I made asynchronous)
 ///
-/// All entry points are thread-safe; simulated network transfers are
-/// accounted exactly like AuthServer's (and throw NetworkUnavailableError
-/// when the link is down).
+/// All entry points are thread-safe; every simulated network transfer is
+/// accounted by the AuthServer (and throws NetworkUnavailableError when the
+/// link is down).
 ///
 /// Observability: each gateway owns one obs::Registry shared by its store,
 /// cache, and retrain queue, so every serving metric lives in a single
@@ -219,7 +221,7 @@ class AuthGateway {
   /// Latest installed model version for a user; 0 when never enrolled.
   int model_version(int user_token) const;
 
-  void set_network(core::NetworkConfig net);
+  void set_network(core::NetworkConfig net) { server_.set_network(net); }
   void wait_idle() { queue_.wait_idle(); }
 
   struct Stats {
@@ -275,7 +277,6 @@ class AuthGateway {
   bool install_model(int user_token,
                      std::shared_ptr<const core::AuthModel> model);
   std::string model_path(int user_token) const;
-  void account_transfer(std::size_t bytes, bool upload);
   /// Writes `bytes` to the user's bundle path via write-temp-then-rename,
   /// with transient-I/O retry. Caller holds the user's install stripe.
   void write_bundle(int user_token, const std::vector<std::uint8_t>& bytes);
@@ -301,6 +302,10 @@ class AuthGateway {
   ModelCache cache_;
   /// Pool the deferred-work replay runs on (caller-owned or the shared one).
   util::ThreadPool* pool_;
+  /// The trainer over store_: enroll trains through it, every transfer is
+  /// accounted by it, and its approximate-statistics cache is shared with
+  /// queue_ (which holds a raw pointer into it — declared before queue_).
+  core::AuthServer server_;
 
   /// Resolved-once handles for the gateway's own request metrics.
   obs::Histogram* score_ns_;
@@ -325,10 +330,6 @@ class AuthGateway {
   /// Degraded-mode bundle accounting (gateway.bundles_*).
   obs::Counter* bundles_deferred_;
   obs::Counter* bundles_replayed_;
-
-  mutable std::mutex transfer_mutex_;
-  core::NetworkConfig net_;
-  core::TransferStats transfers_;
 
   struct VersionSlot {
     int installed{0};  // version of the live model (0 = never enrolled)
@@ -381,11 +382,6 @@ class AuthGateway {
                        const double* day);
   mutable std::mutex session_mutex_;
   std::unordered_map<int, SessionTrack> sessions_;
-
-  /// Shared approximate-mode population statistics: enroll() and the retrain
-  /// queue reuse one per-context build per snapshot prefix. Declared before
-  /// queue_ (the queue holds a raw pointer into it). Untouched in exact mode.
-  std::shared_ptr<core::ApproxStatsCache> approx_cache_;
 
   /// Declared last: destroyed first, draining in-flight retrains while the
   /// store/cache they reference are still alive.

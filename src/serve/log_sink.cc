@@ -3,10 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 namespace sy::serve {
@@ -57,83 +61,50 @@ void FileLogSink::reset() {
   if (::fsync(fd_) != 0) throw_io("fsync", path_);
 }
 
-FaultInjectingLogSink::FaultInjectingLogSink(std::string path, FaultPlan plan)
-    : path_(std::move(path)), plan_(plan) {}
-
-void FaultInjectingLogSink::append(const std::uint8_t* data, std::size_t len) {
-  const std::uint64_t op = ops_++;
-  if (plan_.kind == FaultPlan::Kind::kErrorOps && in_window(plan_, op)) {
-    throw IoError("append(fault)", path_, EIO);
-  }
-  // kSlowOps is a no-op here: the in-memory sink has no clock to stall.
+void MemoryLogSink::append(const std::uint8_t* data, std::size_t len) {
   buffer_.insert(buffer_.end(), data, data + len);
-  ++appends_;
 }
 
-void FaultInjectingLogSink::sync() {
-  const std::uint64_t op = ops_++;
-  if (plan_.kind == FaultPlan::Kind::kErrorOps && in_window(plan_, op)) {
-    throw IoError("fsync(fault)", path_, EIO);
-  }
-  if (plan_.kind == FaultPlan::Kind::kDropSyncsFrom && appends_ >= plan_.at) {
-    return;  // the fsync the OS never performed
-  }
-  if (plan_.kind == FaultPlan::Kind::kDropSyncOps && in_window(plan_, op)) {
-    return;
-  }
-  durable_ = buffer_.size();
-}
-
-void FaultInjectingLogSink::reset() {
-  // ftruncate-to-zero is durable immediately for this model's purposes: a
-  // compaction only resets the log after its snapshot was fsynced and
-  // atomically renamed into place (see serve/shard_snapshot.cc), so losing
-  // or keeping the truncate cannot lose data either way.
+void MemoryLogSink::reset() {
   buffer_.clear();
   durable_ = 0;
 }
 
-void FaultInjectingLogSink::materialize_crash() const {
-  std::vector<std::uint8_t> image(buffer_.begin(),
-                                  buffer_.begin() +
-                                      static_cast<std::ptrdiff_t>(durable_));
-  switch (plan_.kind) {
-    case FaultPlan::Kind::kTruncateAt:
-      if (plan_.at < image.size()) {
-        image.resize(static_cast<std::size_t>(plan_.at));
-      }
-      break;
-    case FaultPlan::Kind::kBitFlipAt:
-      if (plan_.at < image.size()) {
-        image[static_cast<std::size_t>(plan_.at)] ^= 0x40;
-      }
-      break;
-    case FaultPlan::Kind::kNone:
-    case FaultPlan::Kind::kDropSyncsFrom:
-    case FaultPlan::Kind::kErrorOps:
-    case FaultPlan::Kind::kSlowOps:
-    case FaultPlan::Kind::kDropSyncOps:
-      break;  // live kinds mutate nothing at crash time
-  }
+void MemoryLogSink::materialize_crash(std::size_t cut_at) const {
+  const std::size_t size = std::min(durable_, cut_at);
   std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("FaultInjectingLogSink: cannot write " + path_);
-  }
-  out.write(reinterpret_cast<const char*>(image.data()),
-            static_cast<std::streamsize>(image.size()));
+  if (!out) throw std::runtime_error("MemoryLogSink: cannot write " + path_);
+  out.write(reinterpret_cast<const char*>(buffer_.data()),
+            static_cast<std::streamsize>(size));
 }
 
 FaultPlan parse_fault_plan(const std::string& spec) {
   // KIND[@AT[+COUNT]][:DELAY_US] — see the header for the grammar.
+  const auto malformed = [&spec](const std::string& why) {
+    return std::invalid_argument("parse_fault_plan: " + why + " in spec '" +
+                                 spec + "'");
+  };
+  // A whole field of decimal digits: from_chars into an unsigned type takes
+  // no sign or leading space, and the end check rejects any suffix.
+  const auto number = [&malformed](std::string_view field) {
+    std::uint64_t value = 0;
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+    if (ec != std::errc{} || ptr != end) {
+      throw malformed("bad number '" + std::string(field) + "'");
+    }
+    return value;
+  };
+
   FaultPlan plan;
-  std::string head = spec;
-  std::string delay_part;
-  if (const auto colon = head.find(':'); colon != std::string::npos) {
+  std::string_view head = spec;
+  std::optional<std::string_view> delay_part;
+  if (const auto colon = head.find(':'); colon != std::string_view::npos) {
     delay_part = head.substr(colon + 1);
     head = head.substr(0, colon);
   }
-  std::string window_part;
-  if (const auto at = head.find('@'); at != std::string::npos) {
+  std::optional<std::string_view> window_part;
+  if (const auto at = head.find('@'); at != std::string_view::npos) {
     window_part = head.substr(at + 1);
     head = head.substr(0, at);
   }
@@ -144,35 +115,26 @@ FaultPlan parse_fault_plan(const std::string& spec) {
   } else if (head == "dropsync") {
     plan.kind = FaultPlan::Kind::kDropSyncOps;
   } else {
-    throw std::invalid_argument("parse_fault_plan: unknown kind '" + head +
-                                "' in spec '" + spec +
-                                "' (want error|slow|dropsync)");
+    throw malformed("unknown kind '" + std::string(head) +
+                    "' (want error|slow|dropsync)");
   }
-  try {
-    if (!window_part.empty()) {
-      const auto plus = window_part.find('+');
-      plan.at = std::stoull(window_part.substr(0, plus));
-      if (plus != std::string::npos) {
-        plan.count = std::stoull(window_part.substr(plus + 1));
-      }
+  if (window_part) {
+    const auto plus = window_part->find('+');
+    plan.at = number(window_part->substr(0, plus));
+    if (plus != std::string_view::npos) {
+      plan.count = number(window_part->substr(plus + 1));
     }
-    if (!delay_part.empty()) {
-      if (plan.kind != FaultPlan::Kind::kSlowOps) {
-        throw std::invalid_argument("delay only applies to 'slow'");
-      }
-      plan.delay_ns = std::stoull(delay_part) * 1000;  // spec is in us
+  }
+  if (delay_part) {
+    if (plan.kind != FaultPlan::Kind::kSlowOps) {
+      throw malformed("delay only applies to 'slow'");
     }
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument("parse_fault_plan: malformed spec '" + spec +
-                                "'");
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("parse_fault_plan: value out of range in '" +
-                                spec + "'");
+    const std::uint64_t delay_us = number(*delay_part);
+    if (delay_us > UINT64_MAX / 1000) throw malformed("delay out of range");
+    plan.delay_ns = delay_us * 1000;
   }
   if (plan.kind == FaultPlan::Kind::kSlowOps && plan.delay_ns == 0) {
-    throw std::invalid_argument(
-        "parse_fault_plan: 'slow' needs a :DELAY_US suffix in '" + spec +
-        "'");
+    throw malformed("'slow' needs a :DELAY_US suffix");
   }
   return plan;
 }
@@ -215,9 +177,10 @@ ChaosController::Action ChaosController::classify_locked(bool is_sync) {
       if (!is_sync) return Action::kPass;
       ++counters_.dropped_syncs;
       return Action::kDropSync;
-    default:
-      return Action::kPass;  // crash-image kinds are not live faults
+    case FaultPlan::Kind::kNone:
+      break;
   }
+  return Action::kPass;
 }
 
 ChaosController::Action ChaosController::next_append_action() {

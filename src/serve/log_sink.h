@@ -1,9 +1,9 @@
 /// \file
 /// Byte sinks behind the per-shard append-log (serve::ShardLog).
 ///
-/// The log's durability semantics live behind this interface so the
-/// crash-recovery test harness can inject storage faults — torn (truncated)
-/// writes, bit flips, dropped fsyncs — at a chosen point and prove that
+/// The log's durability semantics live behind this interface so chaos runs
+/// and the crash-recovery tests can inject storage faults — disk errors,
+/// slow I/O, dropped fsyncs, torn (truncated) writes — and prove that
 /// recovery replays exactly the durable prefix instead of crashing or
 /// silently resurrecting lost data.
 ///
@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/resilience.h"
@@ -54,38 +55,34 @@ class FileLogSink final : public LogSink {
   int fd_{-1};
 };
 
-/// One storage fault, armed at a chosen position in the write stream.
-///
-/// The crash-image kinds (kTruncateAt / kBitFlipAt / kDropSyncsFrom) are
-/// consumed by FaultInjectingLogSink's materialize_crash() flow; the live
-/// kinds (kErrorOps / kSlowOps / kDropSyncOps) drive ChaosLogSink against a
-/// *running* gateway — disk errors, slow I/O, and fsync drops injected into
-/// real FileLogSinks while scoring traffic continues.
+/// One storage fault, armed on a ChaosController over a window of the op
+/// stream: disk errors, slow I/O, and fsync drops injected through
+/// ChaosLogSink while traffic continues.
 struct FaultPlan {
   enum class Kind {
     kNone,
-    kTruncateAt,     // durable image cut at byte offset `at` (torn write)
-    kBitFlipAt,      // bit 6 of durable byte `at` flipped (media corruption)
-    kDropSyncsFrom,  // sync() calls at/after append index `at` are ignored
-    kErrorOps,       // append/sync ops in the window throw IoError(EIO)
-    kSlowOps,        // append/sync ops in the window stall for delay_ns
-    kDropSyncOps,    // sync() ops in the window silently do nothing
+    kErrorOps,     // append/sync ops in the window throw IoError(EIO)
+    kSlowOps,      // append/sync ops in the window stall for delay_ns
+    kDropSyncOps,  // sync() ops in the window silently do nothing
   };
   Kind kind{Kind::kNone};
+  /// First affected op, counted from arming.
   std::uint64_t at{0};
-  /// Live kinds only: window length in ops after `at` (0 = until disarmed).
+  /// Window length in ops after `at` (0 = until disarmed).
   std::uint64_t count{0};
   /// kSlowOps only: injected stall per op.
   std::uint64_t delay_ns{0};
 };
 
-/// Parses a `--fault-plan` spec into a live-kind FaultPlan:
+/// Parses a `--fault-plan` spec into a FaultPlan:
 ///   "error[@AT[+COUNT]]"            kErrorOps
 ///   "slow[@AT[+COUNT]]:DELAY_US"    kSlowOps
 ///   "dropsync[@AT[+COUNT]]"         kDropSyncOps
 /// AT is the first affected op index (counted from arming), COUNT the window
-/// length (omitted = until disarmed). Throws std::invalid_argument on a
-/// malformed spec.
+/// length (omitted = until disarmed). Each number is a whole field of
+/// decimal digits. Throws std::invalid_argument on a malformed spec — a
+/// sign, space, or suffix, a value beyond 64 bits, or a delay whose
+/// nanosecond count overflows.
 FaultPlan parse_fault_plan(const std::string& spec);
 
 /// Shared switchboard for live fault injection. One controller is shared by
@@ -97,7 +94,7 @@ class ChaosController {
   /// What the sinks should do with the next operation.
   enum class Action { kPass, kError, kDelay, kDropSync };
 
-  /// Arms `plan` (a live kind); the op window is relative to this call.
+  /// Arms `plan`; the op window is relative to this call.
   /// Re-arming replaces the previous plan.
   void arm(FaultPlan plan);
   /// Stops injecting; op counting continues.
@@ -128,8 +125,9 @@ class ChaosController {
   Stats counters_{};
 };
 
-/// Write-through chaos wrapper: delegates to a real sink (normally a
-/// FileLogSink, so the gateway under test stays genuinely durable) but
+/// Write-through chaos wrapper: delegates to a real sink (a FileLogSink, so
+/// the gateway under test stays genuinely durable, or a MemoryLogSink for
+/// crash images) but
 /// consults a shared ChaosController before every append/sync — injecting
 /// IoError(EIO), a stall, or an fsync drop per the armed FaultPlan. reset()
 /// always passes through: compaction only truncates after its snapshot is
@@ -152,38 +150,32 @@ class ChaosLogSink final : public LogSink {
   SleepFn sleep_;
 };
 
-/// In-memory sink for the fault-injection harness. Appended bytes become
-/// "durable" only when an effective sync() runs (kDropSyncsFrom makes later
-/// syncs no-ops). materialize_crash() then writes the durable image — after
-/// applying the truncation/bit-flip mutation — to the real log path, which a
-/// fresh store recovers from with ordinary FileLogSinks.
-class FaultInjectingLogSink final : public LogSink {
+/// In-memory sink for crash-recovery tests: keeps the appended bytes and
+/// the durable prefix (everything the last sync() covered). Wrapped in a
+/// ChaosLogSink armed with kDropSyncOps, syncs stop reaching it and the
+/// durable prefix freezes. materialize_crash() then writes what storage held
+/// to the real log path, which a fresh store recovers with FileLogSinks.
+class MemoryLogSink final : public LogSink {
  public:
-  FaultInjectingLogSink(std::string path, FaultPlan plan);
+  explicit MemoryLogSink(std::string path) : path_(std::move(path)) {}
 
   void append(const std::uint8_t* data, std::size_t len) override;
-  void sync() override;
+  void sync() override { durable_ = buffer_.size(); }
+  /// ftruncate-to-zero is durable at once in this model: compaction resets
+  /// the log only after its snapshot is fsynced and renamed into place.
   void reset() override;
 
-  /// Simulates the crash: replaces the file at `path` with what storage
-  /// actually held (durable bytes, mutated per the fault plan).
-  void materialize_crash() const;
-
-  /// Re-arms the fault mid-run (e.g. after observing the byte offset of the
-  /// record the test wants to tear).
-  void set_plan(FaultPlan plan) { plan_ = plan; }
+  /// Simulates the crash: replaces the file at `path` with the durable
+  /// image, cut to its first `cut_at` bytes when that is shorter (a torn
+  /// write).
+  void materialize_crash(std::size_t cut_at = SIZE_MAX) const;
 
   std::size_t bytes_appended() const { return buffer_.size(); }
-  std::size_t bytes_durable() const { return durable_; }
-  std::uint64_t appends() const { return appends_; }
 
  private:
   std::string path_;
-  FaultPlan plan_;
   std::vector<std::uint8_t> buffer_;
   std::size_t durable_{0};
-  std::uint64_t appends_{0};
-  std::uint64_t ops_{0};  // appends + syncs, for the live-kind windows
 };
 
 }  // namespace sy::serve

@@ -15,7 +15,6 @@
 #include <filesystem>
 #include <vector>
 
-#include "core/batch_auth_server.h"
 #include "core/model_store.h"
 #include "serve/auth_gateway.h"
 #include "util/rng.h"
@@ -217,8 +216,9 @@ TEST(ApproxTraining, BatchOfOneBitIdenticalToSequential) {
     const AuthModel sequential = train_user_from_store(
         *store->snapshot(), config, 1, positives, rng, 1);
 
-    // Batch of one through BatchAuthServer (threaded path + prewarm).
-    BatchAuthServer server(config, NetworkConfig{}, &pool, store);
+    // Batch of one through AuthServer::train_user_models (threaded path +
+    // prewarm).
+    AuthServer server(config, NetworkConfig{}, store, &pool);
     EnrollmentRequest request;
     request.user_token = 1;
     request.positives = &positives;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace sy::core {
@@ -79,22 +82,59 @@ TEST(AuthServer, NetworkUnavailableThrows) {
                NetworkUnavailableError);
 }
 
-TEST(ApplyTransfer, FailsExplicitlyWhenNetworkDown) {
+TEST(NetworkLink, FailsExplicitlyWhenNetworkDown) {
   // A transfer over a dead link must never silently succeed (or account
   // bytes/delay as if it had happened).
-  TransferStats stats;
   NetworkConfig net;
   net.available = false;
-  EXPECT_THROW(apply_transfer(stats, net, 1024, /*upload=*/true),
-               NetworkUnavailableError);
-  EXPECT_EQ(stats.uploads, 0u);
-  EXPECT_EQ(stats.bytes_up, 0u);
-  EXPECT_EQ(stats.total_delay_ms, 0.0);
+  NetworkLink link(net);
+  EXPECT_THROW(link.upload(1024), NetworkUnavailableError);
+  EXPECT_EQ(link.transfers().uploads, 0u);
+  EXPECT_EQ(link.transfers().bytes_up, 0u);
+  EXPECT_EQ(link.transfers().total_delay_ms, 0.0);
 
   net.available = true;
-  apply_transfer(stats, net, 1024, /*upload=*/true);
-  EXPECT_EQ(stats.uploads, 1u);
-  EXPECT_EQ(stats.bytes_up, 1024u);
+  link.set(net);
+  link.upload(1024);
+  EXPECT_EQ(link.transfers().uploads, 1u);
+  EXPECT_EQ(link.transfers().bytes_up, 1024u);
+}
+
+TEST(AuthServer, ConcurrentTransferAccountingIsExact) {
+  // Gateway request threads account uploads while pool workers account
+  // retrained-model downloads: the shared link must lose no transfer.
+  AuthServer server;
+  util::Rng rng(79);
+  for (int u = 0; u < 3; ++u) {
+    server.contribute(u, kStationary, user_vectors(u, 20, rng));
+  }
+  VectorsByContext positives;
+  positives[kStationary] = user_vectors(0, 20, rng);
+  const AuthModel model = server.train_user_model(0, positives, rng);
+  const TransferStats before = server.transfers();
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 200;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        server.account_upload(positives);
+        server.account_model_download(model);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const TransferStats after = server.transfers();
+  const std::size_t n = kThreads * kRounds;
+  EXPECT_EQ(after.uploads - before.uploads, n);
+  EXPECT_EQ(after.downloads - before.downloads, n);
+  EXPECT_EQ(after.bytes_up - before.bytes_up, n * before.bytes_up);
+  EXPECT_EQ(after.bytes_down - before.bytes_down, n * before.bytes_down);
+  // The delay sum is order-dependent in its last bits only.
+  EXPECT_NEAR(after.total_delay_ms, (n + 1) * before.total_delay_ms,
+              1e-9 * after.total_delay_ms);
 }
 
 TEST(CowPopulationStore, SnapshotUnperturbedByLaterContribution) {
@@ -114,8 +154,18 @@ TEST(CowPopulationStore, SnapshotUnperturbedByLaterContribution) {
 TEST(AuthServer, EmptyUploadThrows) {
   AuthServer server;
   util::Rng rng(75);
-  EXPECT_THROW((void)server.train_user_model(0, {}, rng),
-               std::invalid_argument);
+  server.contribute(1, kStationary, user_vectors(1, 20, rng));
+  // No context at all, or contexts whose windows are all missing: either
+  // would train a model with no context.
+  const VectorsByContext window_free{{kStationary, {}}};
+  for (const VectorsByContext& upload : {VectorsByContext{}, window_free}) {
+    EXPECT_THROW((void)server.train_user_model(0, upload, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(server.account_upload(upload), std::invalid_argument);
+  }
+  // Rejected before any transfer is accounted.
+  EXPECT_EQ(server.transfers().uploads, 0u);
+  EXPECT_EQ(server.transfers().downloads, 0u);
 }
 
 TEST(AuthServer, AccountsTransfers) {

@@ -1,10 +1,9 @@
-#include "core/batch_auth_server.h"
+#include "core/auth_server.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/auth_server.h"
 #include "util/rng.h"
 
 namespace sy::core {
@@ -65,10 +64,10 @@ void expect_models_identical(const AuthModel& a, const AuthModel& b) {
   }
 }
 
-TEST(BatchAuthServer, BatchOfOneBitIdenticalToSequentialPath) {
+TEST(AuthServerBatch, BatchOfOneBitIdenticalToSequentialPath) {
   const Fixture f(3);
   AuthServer sequential;
-  BatchAuthServer batched;
+  AuthServer batched;
   f.contribute_all(sequential);
   f.contribute_all(batched);
 
@@ -81,11 +80,11 @@ TEST(BatchAuthServer, BatchOfOneBitIdenticalToSequentialPath) {
   expect_models_identical(seq, batch[0]);
 }
 
-TEST(BatchAuthServer, BatchMatchesSequentialForEveryUser) {
+TEST(AuthServerBatch, BatchMatchesSequentialForEveryUser) {
   // Same seeds => identical weights regardless of worker scheduling.
   const Fixture f(8);
   AuthServer sequential;
-  BatchAuthServer batched;
+  AuthServer batched;
   f.contribute_all(sequential);
   f.contribute_all(batched);
 
@@ -99,14 +98,14 @@ TEST(BatchAuthServer, BatchMatchesSequentialForEveryUser) {
   }
 }
 
-TEST(BatchAuthServer, OversubscribedPoolStillDeterministic) {
+TEST(AuthServerBatch, OversubscribedPoolStillDeterministic) {
   // A dedicated pool with more workers than cores forces genuine
   // interleaving even on small machines; per-request seeds must keep the
   // result independent of scheduling.
   const Fixture f(8);
   util::ThreadPool pool(8);
-  BatchAuthServer threaded({}, {}, &pool);
-  BatchAuthServer reference;
+  AuthServer threaded({}, {}, nullptr, &pool);
+  AuthServer reference;
   f.contribute_all(threaded);
   f.contribute_all(reference);
   const auto a = threaded.train_user_models(f.requests);
@@ -116,9 +115,9 @@ TEST(BatchAuthServer, OversubscribedPoolStillDeterministic) {
   }
 }
 
-TEST(BatchAuthServer, RepeatedBatchesAreDeterministic) {
+TEST(AuthServerBatch, RepeatedBatchesAreDeterministic) {
   const Fixture f(4);
-  BatchAuthServer server;
+  AuthServer server;
   f.contribute_all(server);
   const auto first = server.train_user_models(f.requests);
   const auto second = server.train_user_models(f.requests);
@@ -127,11 +126,11 @@ TEST(BatchAuthServer, RepeatedBatchesAreDeterministic) {
   }
 }
 
-TEST(BatchAuthServer, ContributeAfterTrainingDoesNotPerturbPastResults) {
+TEST(AuthServerBatch, ContributeAfterTrainingDoesNotPerturbPastResults) {
   // Growing the store between batches is safe and only affects later
   // batches; earlier results are untouched objects.
   Fixture f(3);
-  BatchAuthServer server;
+  AuthServer server;
   f.contribute_all(server);
   const auto before = server.train_user_models(f.requests);
 
@@ -146,9 +145,9 @@ TEST(BatchAuthServer, ContributeAfterTrainingDoesNotPerturbPastResults) {
   ASSERT_EQ(after.size(), before.size());
 }
 
-TEST(BatchAuthServer, ThrowsWhenNetworkUnavailable) {
+TEST(AuthServerBatch, ThrowsWhenNetworkUnavailable) {
   const Fixture f(2);
-  BatchAuthServer server;
+  AuthServer server;
   f.contribute_all(server);
   NetworkConfig net;
   net.available = false;
@@ -156,18 +155,18 @@ TEST(BatchAuthServer, ThrowsWhenNetworkUnavailable) {
   EXPECT_THROW(server.train_user_models(f.requests), std::runtime_error);
 }
 
-TEST(BatchAuthServer, ThrowsWhenContextHasNoImpostorData) {
+TEST(AuthServerBatch, ThrowsWhenContextHasNoImpostorData) {
   // A single contributor cannot train: every candidate negative is theirs.
   Fixture f(1);
-  BatchAuthServer server;
+  AuthServer server;
   f.contribute_all(server);
   EXPECT_THROW(server.train_user_models(f.requests), std::runtime_error);
 }
 
-TEST(BatchAuthServer, TransferAccountingIsDeterministic) {
+TEST(AuthServerBatch, TransferAccountingIsDeterministic) {
   const Fixture f(4);
-  BatchAuthServer a;
-  BatchAuthServer b;
+  AuthServer a;
+  AuthServer b;
   f.contribute_all(a);
   f.contribute_all(b);
   (void)a.train_user_models(f.requests);

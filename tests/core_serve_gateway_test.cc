@@ -114,6 +114,42 @@ TEST(AuthGateway, OneShardGatewayMatchesAuthServerBitForBit) {
     EXPECT_EQ(cm.scaler.pack(),
               gateway_model->context_model(context).scaler.pack());
   }
+  // The same transfers were accounted, field for field.
+  const core::TransferStats gateway_transfers = gateway.stats().transfers;
+  const core::TransferStats server_transfers = server.transfers();
+  EXPECT_EQ(gateway_transfers.uploads, server_transfers.uploads);
+  EXPECT_EQ(gateway_transfers.downloads, server_transfers.downloads);
+  EXPECT_EQ(gateway_transfers.bytes_up, server_transfers.bytes_up);
+  EXPECT_EQ(gateway_transfers.bytes_down, server_transfers.bytes_down);
+  EXPECT_EQ(gateway_transfers.total_delay_ms, server_transfers.total_delay_ms);
+}
+
+TEST(AuthGateway, WindowFreeReEnrollIsRejectedAndKeepsTheLiveModel) {
+  AuthGateway gateway;
+  seed_population(gateway);
+  (void)gateway.enroll(0, positives_for(0, 2600), 2601);
+  ASSERT_EQ(gateway.model_version(0), 1);
+  const auto windows = user_vectors(0, 10, 2602);
+  const auto before = gateway.score_batch(0, kStationary, windows);
+  const core::TransferStats transfers = gateway.stats().transfers;
+
+  // Every context list empty: no model may be trained, installed, or
+  // persisted, and no transfer accounted.
+  const core::VectorsByContext window_free{{kStationary, {}}};
+  EXPECT_THROW((void)gateway.enroll(0, window_free, 2603),
+               std::invalid_argument);
+  EXPECT_THROW((void)gateway.report_drift(0, window_free, 2604),
+               std::invalid_argument);
+  gateway.wait_idle();
+
+  EXPECT_EQ(gateway.model_version(0), 1);
+  EXPECT_EQ(gateway.stats().transfers.uploads, transfers.uploads);
+  EXPECT_EQ(gateway.stats().transfers.downloads, transfers.downloads);
+  const auto after = gateway.score_batch(0, kStationary, windows);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].confidence, before[i].confidence);
+  }
 }
 
 TEST(AuthGateway, DriftRetrainSwapsWithoutBlockingScoring) {

@@ -374,8 +374,10 @@ TEST(FaultPlan, ParsesTheLiveGrammar) {
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs) {
-  for (const char* bad : {"", "bogus", "slow", "slow@2", "error@x",
-                          "error@1+z", "slow:abc", "error extra"}) {
+  for (const char* bad :
+       {"", "bogus", "slow", "slow@2", "error@x", "error@1+z", "slow:abc",
+        "error extra", "slow:-5", "error@-1", "error@5x", "error@1+2+3",
+        "slow@2:250us", "error@ 3", "slow:18446744073709552"}) {
     EXPECT_THROW(parse_fault_plan(bad), std::invalid_argument) << bad;
   }
 }

@@ -144,11 +144,10 @@ TEST(ShardPersistence, TornTailRecordIsDiscardedAndRecoverySucceeds) {
     options.dir = dir.str();
     options.compact_threshold = 0;
     options.sync_every = 1;
-    FaultInjectingLogSink* sink = nullptr;
+    MemoryLogSink* sink = nullptr;
     options.sink_factory = [&sink](const std::string& path,
                                    std::size_t) -> std::unique_ptr<LogSink> {
-      auto owned =
-          std::make_unique<FaultInjectingLogSink>(path, FaultPlan{});
+      auto owned = std::make_unique<MemoryLogSink>(path);
       sink = owned.get();
       return owned;
     };
@@ -159,8 +158,7 @@ TEST(ShardPersistence, TornTailRecordIsDiscardedAndRecoverySucceeds) {
     const std::size_t durable_before_tail = sink->bytes_appended();
     store.contribute(3, kStationary, vectors_for(3, 2, 303));
     // Tear the final record 5 bytes in.
-    sink->set_plan({FaultPlan::Kind::kTruncateAt, durable_before_tail + 5});
-    sink->materialize_crash();
+    sink->materialize_crash(durable_before_tail + 5);
   }
 
   const auto replay = ShardLog::replay(ShardLog::path_for(dir.str(), 0), 0);
@@ -308,13 +306,14 @@ TEST(ShardPersistence, DroppedFsyncsLoseExactlyTheUnsyncedSuffix) {
     options.dir = dir.str();
     options.compact_threshold = 0;
     options.sync_every = 1;
-    FaultInjectingLogSink* sink = nullptr;
-    options.sink_factory = [&sink](const std::string& path,
-                                   std::size_t) -> std::unique_ptr<LogSink> {
-      auto owned =
-          std::make_unique<FaultInjectingLogSink>(path, FaultPlan{});
+    MemoryLogSink* sink = nullptr;
+    auto chaos = std::make_shared<ChaosController>();
+    options.sink_factory = [&sink, chaos](
+                               const std::string& path,
+                               std::size_t) -> std::unique_ptr<LogSink> {
+      auto owned = std::make_unique<MemoryLogSink>(path);
       sink = owned.get();
-      return owned;
+      return std::make_unique<ChaosLogSink>(std::move(owned), chaos, path);
     };
     store.attach_persistence(options);
     store.contribute(1, kStationary, vectors_for(1, 2, 321));
@@ -322,8 +321,9 @@ TEST(ShardPersistence, DroppedFsyncsLoseExactlyTheUnsyncedSuffix) {
     expected = merged_bytes(store);
     // Storage stops honoring fsync from the next append on: the third
     // contribution reaches the page cache but never the medium.
-    sink->set_plan({FaultPlan::Kind::kDropSyncsFrom, sink->appends()});
+    chaos->arm(parse_fault_plan("dropsync"));
     store.contribute(3, kStationary, vectors_for(3, 2, 323));
+    EXPECT_GT(chaos->stats().dropped_syncs, 0u);
     sink->materialize_crash();
   }
 

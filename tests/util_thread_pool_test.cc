@@ -82,7 +82,8 @@ TEST(ThreadPool, SubmitRunsDetachedTasks) {
 }
 
 // N users x M contexts stress shape: uneven task costs, results in
-// pre-sized slots, shared read-only input — the BatchAuthServer pattern.
+// pre-sized slots, shared read-only input — the
+// AuthServer::train_user_models pattern.
 // Run under -fsanitize=thread to certify the pool (see CMake option SY_TSAN).
 TEST(ThreadPool, StressUsersByContexts) {
   constexpr std::size_t kUsers = 32;

@@ -27,7 +27,8 @@
 //     scoring phase: error[@AT[+COUNT]] | slow[@AT[+COUNT]]:DELAY_US |
 //     dropsync[@AT[+COUNT]], per serve::parse_fault_plan. Disarmed after the
 //     load; the gateway heals — breaker probe + deferred replay — before the
-//     restart-recovery phase measures durable state)
+//     restart-recovery phase measures durable state. Exits 1 when the plan
+//     injected no fault or the breaker is still open after the heal)
 //   --deadline-ms=D (score through score_batch_within with a D ms budget:
 //     requests the admission gate cannot serve in time shed with a typed
 //     OverloadError instead of queuing) --max-concurrent=N (admission bound
@@ -43,7 +44,6 @@
 // full registry snapshot is embedded in the JSON under "metrics".
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -55,14 +55,12 @@
 #include <thread>
 #include <vector>
 
-#include "core/model_store.h"
 #include "num/backend.h"
 #include "obs/flusher.h"
 #include "obs/registry.h"
 #include "serve/auth_gateway.h"
-#include "serve/log_sink.h"
 #include "serve/resilience.h"
-#include "serve/shard_snapshot.h"
+#include "serve/volume.h"
 #include "util/args.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -348,39 +346,16 @@ int run(int argc, char** argv) {
   config.training.krr.mode = *training_mode;
   config.admission.max_concurrent = max_concurrent;
 
-  // Chaos wiring: one controller models the persistence volume — shard logs,
-  // shard snapshots, and model bundles all consult it, so an armed plan
-  // degrades every write path at once (faulting only the log would let the
-  // store heal itself by compaction and the breaker would never open).
+  // Chaos wiring: one ChaosVolume carries shard logs, shard snapshots, and
+  // model bundles, so an armed plan degrades every write path at once
+  // (faulting only the log would let the store heal itself by compaction
+  // and the breaker would never open).
   std::shared_ptr<serve::ChaosController> chaos;
   if (fault_plan.has_value()) {
-    chaos = std::make_shared<serve::ChaosController>();
     config.breaker.cooldown_ns = 100'000'000;  // heal within the bench run
-    config.persist_sink_factory =
-        [chaos](const std::string& path,
-                std::size_t) -> std::unique_ptr<serve::LogSink> {
-      return std::make_unique<serve::ChaosLogSink>(
-          std::make_unique<serve::FileLogSink>(path), chaos, path);
-    };
-    config.persist_snapshot_writer =
-        [chaos](const std::string& path, std::size_t shard,
-                std::size_t shard_count, std::uint64_t last_seq,
-                const core::PopulationStore& segment) {
-          if (chaos->next_append_action() ==
-              serve::ChaosController::Action::kError) {
-            throw serve::IoError("snapshot(chaos)", path, EIO);
-          }
-          serve::write_shard_snapshot(path, shard, shard_count, last_seq,
-                                      segment);
-        };
-    config.bundle_writer = [chaos](const std::vector<std::uint8_t>& bytes,
-                                   const std::string& path) {
-      if (chaos->next_append_action() ==
-          serve::ChaosController::Action::kError) {
-        throw serve::IoError("bundle(chaos)", path, EIO);
-      }
-      core::ModelStore::save_bytes(bytes, path);
-    };
+    chaos = std::make_shared<serve::ChaosController>();
+    config.volume = std::make_shared<serve::ChaosVolume>(
+        std::make_shared<serve::FileVolume>(), chaos);
   }
 
   // In an optional so the persistence path can destroy and reconstruct the
@@ -590,6 +565,10 @@ int run(int argc, char** argv) {
     flusher.reset();
   }
 
+  // Chaos gates, set by the heal below: a plan that never fired proved
+  // nothing, and a breaker still open after the heal means recovery failed.
+  bool chaos_injected_nothing = false;
+  bool chaos_breaker_open = false;
   if (chaos != nullptr) {
     // Heal before anything measures durable state: disarm, wait out the
     // breaker cooldown, and drive one benign write — the half-open probe —
@@ -602,6 +581,12 @@ int run(int argc, char** argv) {
     gateway->wait_idle();
     gateway->wait_replay_idle();
     const auto injected = chaos->stats();
+    const std::uint64_t faults = injected.injected_errors +
+                                 injected.injected_delays +
+                                 injected.dropped_syncs;
+    chaos_injected_nothing = faults == 0;
+    chaos_breaker_open = gateway->persistence_breaker().state() !=
+                         serve::CircuitBreaker::State::kClosed;
     const obs::Snapshot mid = gateway->metrics().snapshot();
     const auto counter = [&mid](const char* name) -> unsigned long long {
       const auto it = mid.counters.find(name);
@@ -613,10 +598,7 @@ int run(int argc, char** argv) {
         static_cast<unsigned long long>(injected.injected_errors),
         static_cast<unsigned long long>(injected.injected_delays),
         static_cast<unsigned long long>(injected.dropped_syncs),
-        gateway->persistence_breaker().state() ==
-                serve::CircuitBreaker::State::kClosed
-            ? "closed"
-            : "STILL OPEN",
+        chaos_breaker_open ? "STILL OPEN" : "closed",
         counter("store.log_deferred"), counter("store.deferred_flushed"));
   }
 
@@ -771,11 +753,21 @@ int run(int argc, char** argv) {
   }
 
   // Regression gates for CI: every event must have been served, drift
-  // retrains must all have completed (none stuck, none failed), and a
-  // persistent run must recover every enrolled user after the restart.
+  // retrains must all have completed (none stuck, none failed), a chaos run
+  // must inject faults and heal, and a persistent run must recover every
+  // enrolled user after the restart.
   if (stats.queue.failed != 0) {
     std::printf("FAIL: %llu retrain jobs failed\n",
                 static_cast<unsigned long long>(stats.queue.failed));
+    return 1;
+  }
+  if (chaos_injected_nothing) {
+    std::printf("FAIL: --fault-plan=%s injected no fault\n",
+                fault_plan_spec.c_str());
+    return 1;
+  }
+  if (chaos_breaker_open) {
+    std::printf("FAIL: the persistence breaker is still open after the heal\n");
     return 1;
   }
   if (!persist_dir.empty() && recovered_users != n_users) {

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -15,14 +14,12 @@
 
 #include "analysis/corpus.h"
 #include "attack/campaign.h"
-#include "core/model_store.h"
 #include "core/population_codec.h"
 #include "features/feature_extractor.h"
 #include "sensors/device.h"
 #include "sensors/drift.h"
 #include "sensors/tuning.h"
 #include "serve/auth_gateway.h"
-#include "serve/shard_snapshot.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/sim_clock.h"
@@ -498,12 +495,15 @@ ScenarioResult run_disk_fault_storm(const ScenarioOptions& options) {
           .string();
   std::filesystem::remove_all(root);
 
-  // One ChaosController models the whole persistence VOLUME: log sinks,
-  // snapshot writes, and model-bundle writes all consult it. Faulting only
-  // the log would be too gentle — the store's heal-by-compaction would
-  // succeed immediately and the breaker would never open.
+  // One ChaosVolume carries the whole persistence volume: log appends,
+  // snapshot publishes, and model-bundle publishes all consult its
+  // controller. Faulting only the log would be too gentle — the store's
+  // heal-by-compaction would succeed immediately and the breaker would
+  // never open.
   auto chaos = std::make_shared<serve::ChaosController>();
   serve::GatewayConfig gc;
+  gc.volume = std::make_shared<serve::ChaosVolume>(
+      std::make_shared<serve::FileVolume>(), chaos);
   gc.persist_dir = root + "/pop";
   gc.model_dir = root + "/models";
   gc.persist_sync_every = 1;
@@ -514,28 +514,6 @@ ScenarioResult run_disk_fault_storm(const ScenarioOptions& options) {
   gc.io_retry.base_delay_ns = 50'000;
   // Backoff against an armed fault plan is a pure wait; skip it for speed.
   gc.io_sleep = [](std::uint64_t) {};
-  gc.persist_sink_factory =
-      [chaos](const std::string& path, std::size_t) -> std::unique_ptr<serve::LogSink> {
-    return std::make_unique<serve::ChaosLogSink>(
-        std::make_unique<serve::FileLogSink>(path), chaos, path);
-  };
-  gc.persist_snapshot_writer = [chaos](const std::string& path,
-                                       std::size_t shard,
-                                       std::size_t shard_count,
-                                       std::uint64_t last_seq,
-                                       const core::PopulationStore& segment) {
-    if (chaos->next_append_action() == serve::ChaosController::Action::kError) {
-      throw serve::IoError("snapshot(chaos)", path, EIO);
-    }
-    serve::write_shard_snapshot(path, shard, shard_count, last_seq, segment);
-  };
-  gc.bundle_writer = [chaos](const std::vector<std::uint8_t>& bytes,
-                             const std::string& path) {
-    if (chaos->next_append_action() == serve::ChaosController::Action::kError) {
-      throw serve::IoError("bundle(chaos)", path, EIO);
-    }
-    core::ModelStore::save_bytes(bytes, path);
-  };
 
   Fixture fixture = make_fixture(options, gc);
   const auto extractor = make_extractor(options);

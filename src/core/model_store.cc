@@ -68,19 +68,6 @@ AuthModel ModelStore::deserialize(const std::vector<std::uint8_t>& bytes) {
   }
 }
 
-void ModelStore::save(const AuthModel& model, const std::string& path) {
-  save_bytes(serialize(model), path);
-}
-
-void ModelStore::save_bytes(const std::vector<std::uint8_t>& bytes,
-                            const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw ModelStoreError("ModelStore: cannot open " + path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw ModelStoreError("ModelStore: write failed " + path);
-}
-
 AuthModel ModelStore::load(const std::string& path) {
   std::vector<std::uint8_t> bytes;
   if (!util::read_file_bytes(path, bytes)) {

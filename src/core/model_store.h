@@ -46,14 +46,10 @@ class ModelStore {
   // Parses and verifies; throws ModelCorruptError on corruption.
   static AuthModel deserialize(const std::vector<std::uint8_t>& bytes);
 
-  // File round-trip. load() throws ModelMissingError when `path` does not
-  // exist and ModelCorruptError (with the offending path in the message)
-  // when the bundle fails parsing or integrity verification.
-  static void save(const AuthModel& model, const std::string& path);
-  // Writes an already-serialized bundle (callers that also need the bytes
-  // for size accounting serialize once and reuse them).
-  static void save_bytes(const std::vector<std::uint8_t>& bytes,
-                         const std::string& path);
+  // Reads a bundle file (written by serve::Volume::publish). Throws
+  // ModelMissingError when `path` does not exist and ModelCorruptError
+  // (with the offending path in the message) when the bundle fails parsing
+  // or integrity verification.
   static AuthModel load(const std::string& path);
 
   // Reads only the fixed 16-byte header of a persisted bundle: magic and

@@ -1,7 +1,6 @@
 #include "serve/auth_gateway.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <filesystem>
 #include <stdexcept>
 #include <system_error>
@@ -143,6 +142,7 @@ void AuthGateway::replay_deferred_work() {
 }
 
 void AuthGateway::recover_persisted_state() {
+  if (!config_.volume) config_.volume = std::make_shared<FileVolume>();
   // Population durability: replay per-shard snapshot+log so retrains keep
   // drawing impostors from the pre-restart anonymized population.
   if (!config_.persist_dir.empty()) {
@@ -150,8 +150,7 @@ void AuthGateway::recover_persisted_state() {
     options.dir = config_.persist_dir;
     options.compact_threshold = config_.persist_compact_threshold;
     options.sync_every = config_.persist_sync_every;
-    options.sink_factory = config_.persist_sink_factory;
-    options.snapshot_writer = config_.persist_snapshot_writer;
+    options.volume = config_.volume;
     options.breaker = &persist_breaker_;
     options.io_retry = config_.io_retry;
     options.io_retry_seed = config_.io_retry_seed;
@@ -298,11 +297,10 @@ bool AuthGateway::install_model(int user_token,
 
 void AuthGateway::write_bundle(int user_token,
                                const std::vector<std::uint8_t>& bytes) {
-  // Publish atomically (write-temp-then-rename): a concurrent cache-miss
-  // loader reading this user's bundle must see the old or the new file,
-  // never a torn in-place rewrite.
+  // Atomic: a concurrent cache-miss loader reading this user's bundle must
+  // see the old or the new file, never a torn in-place rewrite. Not
+  // fsynced: a power loss may roll a bundle back (docs/ROBUSTNESS.md).
   const std::string path = model_path(user_token);
-  const std::string tmp = path + ".tmp";
   // Deterministic per-user jitter stream: replays are reproducible under a
   // fixed io_retry_seed.
   util::Rng jitter(util::splitmix64(
@@ -310,22 +308,7 @@ void AuthGateway::write_bundle(int user_token,
       static_cast<std::uint64_t>(static_cast<std::int64_t>(user_token))));
   retry_io(
       [&] {
-        try {
-          if (config_.bundle_writer) {
-            config_.bundle_writer(bytes, tmp);
-          } else {
-            core::ModelStore::save_bytes(bytes, tmp);
-          }
-          std::filesystem::rename(tmp, path);
-        } catch (const IoError&) {
-          throw;
-        } catch (const std::filesystem::filesystem_error& e) {
-          throw IoError("rename", path, e.code().value());
-        } catch (const core::ModelStoreError&) {
-          // save_bytes reports failures without an errno; classify as EIO
-          // (transient) so retry and breaker cooldown get a chance.
-          throw IoError("save_bytes", tmp, EIO);
-        }
+        config_.volume->publish(path, bytes, Volume::Durability::kAtomic);
       },
       config_.io_retry, jitter, config_.io_sleep);
 }

@@ -59,6 +59,7 @@
 #include "serve/resilience.h"
 #include "serve/retrain_queue.h"
 #include "serve/sharded_population_store.h"
+#include "serve/volume.h"
 #include "util/thread_pool.h"
 
 namespace sy::serve {
@@ -116,22 +117,11 @@ struct GatewayConfig {
   ClockFn clock{};
   /// Injectable backoff sleep; empty = a real thread sleep.
   SleepFn io_sleep{};
-  /// Chaos/test hooks forwarded into population persistence (see
-  /// PersistenceOptions::sink_factory / snapshot_writer).
-  std::function<std::unique_ptr<LogSink>(const std::string& path,
-                                         std::size_t shard)>
-      persist_sink_factory{};
-  std::function<void(const std::string& path, std::size_t shard,
-                     std::size_t shard_count, std::uint64_t last_seq,
-                     const core::PopulationStore& segment)>
-      persist_snapshot_writer{};
-  /// Chaos/test hook: writes a serialized model bundle to `path` (the
-  /// temporary half of install_model's write-then-rename). Default:
-  /// ModelStore::save_bytes. Throw IoError here to model bundle-store
-  /// failures.
-  std::function<void(const std::vector<std::uint8_t>& bytes,
-                     const std::string& path)>
-      bundle_writer{};
+  /// The volume every durable write goes through: shard logs, shard
+  /// snapshots and model bundles (serve/volume.h). Null = a FileVolume.
+  /// Chaos runs pass a ChaosVolume, so one armed fault plan degrades every
+  /// write path at once.
+  std::shared_ptr<Volume> volume{};
   /// RetrainQueue depth cap — queued + running jobs (0 = unbounded); see
   /// RetrainQueue's shed policy.
   std::size_t retrain_max_pending{0};
@@ -277,8 +267,9 @@ class AuthGateway {
   bool install_model(int user_token,
                      std::shared_ptr<const core::AuthModel> model);
   std::string model_path(int user_token) const;
-  /// Writes `bytes` to the user's bundle path via write-temp-then-rename,
-  /// with transient-I/O retry. Caller holds the user's install stripe.
+  /// Publishes `bytes` as the user's bundle on the volume (atomic, not
+  /// fsynced), with transient-I/O retry. Caller holds the user's install
+  /// stripe.
   void write_bundle(int user_token, const std::vector<std::uint8_t>& bytes);
   /// Breaker transition hook: pauses/unpauses cache eviction and, on close,
   /// kicks the asynchronous deferred-work replay.

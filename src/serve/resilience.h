@@ -4,8 +4,9 @@
 /// Four pieces, composable and individually testable:
 ///
 ///   IoError         — typed storage failure (errno + path + op) thrown by
-///                     FileLogSink and friends, with a transient()/fatal
-///                     classification the breaker and retry layer key off.
+///                     the persistence volume (serve/volume.h), with a
+///                     transient()/fatal classification the breaker and
+///                     retry layer key off.
 ///   BackoffPolicy   — exponential backoff with deterministic jitter drawn
 ///                     from util::Rng; retry_io() wraps a storage operation
 ///                     and retries only transient failures.

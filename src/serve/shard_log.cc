@@ -62,9 +62,7 @@ std::string ShardLog::path_for(const std::string& dir, std::size_t shard) {
 
 ShardLog::ShardLog(std::string path, std::size_t shard,
                    std::unique_ptr<LogSink> sink)
-    : path_(std::move(path)), shard_(shard), sink_(std::move(sink)) {
-  if (!sink_) sink_ = std::make_unique<FileLogSink>(path_);
-}
+    : path_(std::move(path)), shard_(shard), sink_(std::move(sink)) {}
 
 void ShardLog::append(std::uint64_t seq, int contributor,
                       sensors::DetectedContext context,

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "core/auth_server.h"
-#include "serve/log_sink.h"
+#include "serve/volume.h"
 
 namespace sy::serve {
 
@@ -47,9 +47,9 @@ class ShardLog {
   /// Log file name for shard `shard` under `dir`.
   static std::string path_for(const std::string& dir, std::size_t shard);
 
-  /// `sink` defaults to a FileLogSink appending to `path`.
+  /// Appends to `sink`, the log at `path` (Volume::open_log(path)).
   ShardLog(std::string path, std::size_t shard,
-           std::unique_ptr<LogSink> sink = nullptr);
+           std::unique_ptr<LogSink> sink);
 
   void append(std::uint64_t seq, int contributor,
               sensors::DetectedContext context,

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "core/auth_server.h"
+#include "serve/volume.h"
 
 namespace sy::serve {
 
@@ -31,11 +32,13 @@ struct ShardSnapshot {
 /// Snapshot file name for shard `shard` under `dir`.
 std::string snapshot_path_for(const std::string& dir, std::size_t shard);
 
-/// Serializes and atomically publishes (tmp + rename) the snapshot. Takes
-/// the segment by reference so a compaction under the shard mutex never
-/// copies the whole shard just to persist it.
-void write_shard_snapshot(const std::string& path, std::size_t shard,
-                          std::size_t shard_count, std::uint64_t last_seq,
+/// Serializes the snapshot and publishes it on `volume` durably (data and
+/// directory fsynced around the tmp + rename). Takes the segment by
+/// reference so a compaction under the shard mutex never copies the whole
+/// shard just to persist it.
+void write_shard_snapshot(Volume& volume, const std::string& path,
+                          std::size_t shard, std::size_t shard_count,
+                          std::uint64_t last_seq,
                           const core::PopulationStore& segment);
 
 /// Loads and verifies a snapshot. Returns nullopt when `path` does not exist

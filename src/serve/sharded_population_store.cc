@@ -61,13 +61,8 @@ void ShardedPopulationStore::compact_shard_locked(std::size_t s) {
   // Snapshot first, truncate second: a crash in between leaves the log's
   // records with seq <= the snapshot's last_seq, which the next recovery
   // skips — nothing is ever applied twice.
-  if (persist_.snapshot_writer) {
-    persist_.snapshot_writer(snapshot_path_for(persist_.dir, s), s,
-                             shards_.size(), shard.next_seq - 1, shard.data);
-  } else {
-    write_shard_snapshot(snapshot_path_for(persist_.dir, s), s,
-                         shards_.size(), shard.next_seq - 1, shard.data);
-  }
+  write_shard_snapshot(*persist_.volume, snapshot_path_for(persist_.dir, s),
+                       s, shards_.size(), shard.next_seq - 1, shard.data);
   shard.log->reset();
   shard.records_since_snapshot = 0;
   shard.records_since_sync = 0;
@@ -258,6 +253,7 @@ RecoveryStats ShardedPopulationStore::attach_persistence(
   // reads them after observing shard.log under that shard's mutex, which
   // attach_persistence still holds when it installs the log.
   persist_ = options;
+  if (!persist_.volume) persist_.volume = std::make_shared<FileVolume>();
 
   // Phase A — stage: read every shard's snapshot+log from disk WITHOUT
   // touching the in-memory shards. All corruption errors (the documented
@@ -357,9 +353,8 @@ void ShardedPopulationStore::install_staged_shard(
   // Open the log FIRST: it is the only fallible step, and it must fail
   // before the shard is touched so rollback never sees a half-mutated
   // shard that was not counted as installed.
-  auto log = std::make_unique<ShardLog>(
-      log_path, s,
-      options.sink_factory ? options.sink_factory(log_path, s) : nullptr);
+  auto log = std::make_unique<ShardLog>(log_path, s,
+                                       persist_.volume->open_log(log_path));
 
   // Remember what this install prepends (and which contexts already
   // existed live) so a later shard's failure can undo it exactly. The

@@ -39,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,8 +48,8 @@
 
 #include "core/auth_server.h"
 #include "obs/registry.h"
-#include "serve/log_sink.h"
 #include "serve/shard_log.h"
+#include "serve/volume.h"
 
 namespace sy::serve {
 
@@ -67,18 +66,10 @@ struct PersistenceOptions {
   /// 1 survives power loss per contribution; a process crash alone loses
   /// nothing either way, because appends reach the page cache immediately.
   std::size_t sync_every{1};
-  /// Test hook (fault-injection harness): builds the LogSink for a shard's
-  /// log file. Default: FileLogSink appending to `path`.
-  std::function<std::unique_ptr<LogSink>(const std::string& path,
-                                         std::size_t shard)>
-      sink_factory{};
-  /// Test hook (chaos harness): writes a shard snapshot during compaction.
-  /// Default: write_shard_snapshot. A chaos wrapper that throws IoError here
-  /// models the whole persistence volume failing, not just the log file.
-  std::function<void(const std::string& path, std::size_t shard,
-                     std::size_t shard_count, std::uint64_t last_seq,
-                     const core::PopulationStore& segment)>
-      snapshot_writer{};
+  /// Where the shard logs and snapshots are written (serve/volume.h).
+  /// Null = a FileVolume. A ChaosVolume here fails the log and the snapshot
+  /// writes together, as a bad disk would.
+  std::shared_ptr<Volume> volume{};
   /// Graceful degradation (set by the gateway; may be null): log I/O runs
   /// through this breaker. While it is open — or once an append has failed,
   /// possibly leaving torn bytes — contributions stay fully visible in

@@ -1,4 +1,4 @@
-#include "serve/log_sink.h"
+#include "serve/volume.h"
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
@@ -29,36 +29,147 @@ bool in_window(const FaultPlan& plan, std::uint64_t op) {
   return plan.count == 0 || op < plan.at + plan.count;
 }
 
-}  // namespace
+/// Owns a file descriptor and closes it on every exit path.
+struct Fd {
+  int fd;
+  explicit Fd(int fd_in) : fd(fd_in) {}
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+  ~Fd() {
+    if (fd >= 0) ::close(fd);
+  }
+};
 
-FileLogSink::FileLogSink(std::string path) : path_(std::move(path)) {
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd_ < 0) throw_io("open", path_);
-}
-
-FileLogSink::~FileLogSink() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void FileLogSink::append(const std::uint8_t* data, std::size_t len) {
+void write_all(int fd, const std::uint8_t* data, std::size_t len,
+               const std::string& path) {
   while (len > 0) {
-    const ::ssize_t n = ::write(fd_, data, len);
+    const ::ssize_t n = ::write(fd, data, len);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw_io("write", path_);
+      throw_io("write", path);
     }
     data += n;
     len -= static_cast<std::size_t>(n);
   }
 }
 
-void FileLogSink::sync() {
-  if (::fsync(fd_) != 0) throw_io("fsync", path_);
+class FileLogSink final : public LogSink {
+ public:
+  explicit FileLogSink(std::string path)
+      : path_(std::move(path)),
+        fd_(::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644)) {
+    if (fd_.fd < 0) throw_io("open", path_);
+  }
+
+  void append(const std::uint8_t* data, std::size_t len) override {
+    write_all(fd_.fd, data, len, path_);
+  }
+  void sync() override {
+    if (::fsync(fd_.fd) != 0) throw_io("fsync", path_);
+  }
+  void reset() override {
+    if (::ftruncate(fd_.fd, 0) != 0) throw_io("ftruncate", path_);
+    sync();
+  }
+
+ private:
+  std::string path_;
+  Fd fd_;
+};
+
+/// Consults the controller for one op on `path`: throws IoError(EIO) for an
+/// injected error and stalls a slow op. Returns false for a dropped fsync,
+/// which is acknowledged but never reaches storage.
+bool admit(ChaosController& chaos, const SleepFn& sleep, bool sync,
+           const char* op, const std::string& path) {
+  switch (chaos.next_action(sync)) {
+    case ChaosController::Action::kError:
+      throw IoError(std::string(op) + "(chaos)", path, EIO);
+    case ChaosController::Action::kDelay:
+      sleep(chaos.delay_ns());
+      return true;
+    case ChaosController::Action::kDropSync:
+      return false;
+    case ChaosController::Action::kPass:
+      break;
+  }
+  return true;
 }
 
-void FileLogSink::reset() {
-  if (::ftruncate(fd_, 0) != 0) throw_io("ftruncate", path_);
-  if (::fsync(fd_) != 0) throw_io("fsync", path_);
+class ChaosLogSink final : public LogSink {
+ public:
+  ChaosLogSink(std::unique_ptr<LogSink> inner,
+               std::shared_ptr<ChaosController> chaos, SleepFn sleep,
+               std::string path)
+      : inner_(std::move(inner)),
+        chaos_(std::move(chaos)),
+        sleep_(std::move(sleep)),
+        path_(std::move(path)) {}
+
+  void append(const std::uint8_t* data, std::size_t len) override {
+    if (admit(*chaos_, sleep_, /*sync=*/false, "append", path_)) {
+      inner_->append(data, len);
+    }
+  }
+  void sync() override {
+    if (admit(*chaos_, sleep_, /*sync=*/true, "fsync", path_)) inner_->sync();
+  }
+  void reset() override { inner_->reset(); }
+
+ private:
+  std::unique_ptr<LogSink> inner_;
+  std::shared_ptr<ChaosController> chaos_;
+  SleepFn sleep_;
+  std::string path_;
+};
+
+}  // namespace
+
+std::unique_ptr<LogSink> FileVolume::open_log(const std::string& path) {
+  return std::make_unique<FileLogSink>(path);
+}
+
+void FileVolume::publish(const std::string& path,
+                         const std::vector<std::uint8_t>& bytes,
+                         Durability durability) {
+  const bool durable = durability == Durability::kDurable;
+  const std::string tmp = path + ".tmp";
+  {
+    Fd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
+    if (fd.fd < 0) throw_io("open", tmp);
+    write_all(fd.fd, bytes.data(), bytes.size(), tmp);
+    // Data before the rename: a shard snapshot's caller truncates the
+    // shard's log right after this returns, and a truncate that reaches the
+    // disk before the snapshot's data blocks would lose every record the
+    // snapshot absorbed.
+    if (durable && ::fsync(fd.fd) != 0) throw_io("fsync", tmp);
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) throw_io("rename", path);
+  if (!durable) return;
+  // fsync the directory so the rename itself survives power loss.
+  const auto dir = std::filesystem::path(path).parent_path().string();
+  const Fd dir_fd(::open(dir.empty() ? "." : dir.c_str(),
+                         O_RDONLY | O_DIRECTORY));
+  if (dir_fd.fd < 0) throw_io("open directory", dir);
+  if (::fsync(dir_fd.fd) != 0) throw_io("fsync directory", dir);
+}
+
+ChaosVolume::ChaosVolume(std::shared_ptr<Volume> inner,
+                         std::shared_ptr<ChaosController> chaos, SleepFn sleep)
+    : inner_(std::move(inner)),
+      chaos_(std::move(chaos)),
+      sleep_(sleep ? std::move(sleep) : thread_sleep_fn()) {}
+
+std::unique_ptr<LogSink> ChaosVolume::open_log(const std::string& path) {
+  return std::make_unique<ChaosLogSink>(inner_->open_log(path), chaos_,
+                                        sleep_, path);
+}
+
+void ChaosVolume::publish(const std::string& path,
+                          const std::vector<std::uint8_t>& bytes,
+                          Durability durability) {
+  (void)admit(*chaos_, sleep_, /*sync=*/false, "publish", path);
+  inner_->publish(path, bytes, durability);
 }
 
 void MemoryLogSink::append(const std::uint8_t* data, std::size_t len) {
@@ -163,7 +274,8 @@ ChaosController::Stats ChaosController::stats() const {
   return out;
 }
 
-ChaosController::Action ChaosController::classify_locked(bool is_sync) {
+ChaosController::Action ChaosController::next_action(bool sync) {
+  std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t op = ops_++;
   if (!armed_ || !in_window(plan_, op - armed_at_op_)) return Action::kPass;
   switch (plan_.kind) {
@@ -174,7 +286,7 @@ ChaosController::Action ChaosController::classify_locked(bool is_sync) {
       ++counters_.injected_delays;
       return Action::kDelay;
     case FaultPlan::Kind::kDropSyncOps:
-      if (!is_sync) return Action::kPass;
+      if (!sync) return Action::kPass;
       ++counters_.dropped_syncs;
       return Action::kDropSync;
     case FaultPlan::Kind::kNone:
@@ -183,57 +295,9 @@ ChaosController::Action ChaosController::classify_locked(bool is_sync) {
   return Action::kPass;
 }
 
-ChaosController::Action ChaosController::next_append_action() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return classify_locked(/*is_sync=*/false);
-}
-
-ChaosController::Action ChaosController::next_sync_action() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return classify_locked(/*is_sync=*/true);
-}
-
 std::uint64_t ChaosController::delay_ns() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return plan_.delay_ns;
 }
-
-ChaosLogSink::ChaosLogSink(std::unique_ptr<LogSink> inner,
-                           std::shared_ptr<ChaosController> chaos,
-                           std::string path, SleepFn sleep)
-    : inner_(std::move(inner)),
-      chaos_(std::move(chaos)),
-      path_(std::move(path)),
-      sleep_(sleep ? std::move(sleep) : thread_sleep_fn()) {}
-
-void ChaosLogSink::append(const std::uint8_t* data, std::size_t len) {
-  switch (chaos_->next_append_action()) {
-    case ChaosController::Action::kError:
-      throw IoError("append(chaos)", path_, EIO);
-    case ChaosController::Action::kDelay:
-      sleep_(chaos_->delay_ns());
-      break;
-    default:
-      break;
-  }
-  inner_->append(data, len);
-}
-
-void ChaosLogSink::sync() {
-  switch (chaos_->next_sync_action()) {
-    case ChaosController::Action::kError:
-      throw IoError("fsync(chaos)", path_, EIO);
-    case ChaosController::Action::kDelay:
-      sleep_(chaos_->delay_ns());
-      break;
-    case ChaosController::Action::kDropSync:
-      return;  // acknowledged but never made durable
-    default:
-      break;
-  }
-  inner_->sync();
-}
-
-void ChaosLogSink::reset() { inner_->reset(); }
 
 }  // namespace sy::serve

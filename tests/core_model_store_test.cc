@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "ml/dataset.h"
+#include "serve/volume.h"
 #include "util/rng.h"
 
 namespace sy::core {
@@ -76,7 +77,8 @@ TEST(ModelStore, RoundTripPreservesDecisions) {
 TEST(ModelStore, FileRoundTrip) {
   const AuthModel model = make_trained_model();
   const std::string path = ::testing::TempDir() + "/sy_model_test.bin";
-  ModelStore::save(model, path);
+  serve::FileVolume().publish(path, ModelStore::serialize(model),
+                              serve::Volume::Durability::kAtomic);
   const AuthModel restored = ModelStore::load(path);
   EXPECT_EQ(restored.user_id(), model.user_id());
   EXPECT_EQ(restored.context_count(), model.context_count());

@@ -1,5 +1,5 @@
 // Resilience primitives (serve/resilience.h) on simulated time, the chaos
-// fault-plan grammar and sink (serve/log_sink.h), the bounded RetrainQueue
+// fault-plan grammar and ChaosVolume (serve/volume.h), the bounded RetrainQueue
 // shed policy, ModelCache eviction pausing, and the gateway's end-to-end
 // degrade-and-replay path. Every clock and sleep is injected — no test here
 // waits out a real cooldown.
@@ -14,18 +14,17 @@
 #include <atomic>
 #include <cerrno>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "core/model_store.h"
 #include "serve/auth_gateway.h"
-#include "serve/log_sink.h"
 #include "serve/model_cache.h"
 #include "serve/retrain_queue.h"
-#include "serve/shard_snapshot.h"
+#include "serve/volume.h"
 #include "util/rng.h"
 #include "util/sim_clock.h"
 
@@ -382,63 +381,110 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   }
 }
 
-// In-memory inner sink recording what actually got through the chaos layer.
-struct RecordingSink final : LogSink {
+// Inner volume recording what actually got through the chaos layer.
+struct RecordingVolume final : Volume {
   std::size_t appends{0};
   std::size_t syncs{0};
-  void append(const std::uint8_t*, std::size_t) override { ++appends; }
-  void sync() override { ++syncs; }
-  void reset() override {}
+  std::size_t publishes{0};
+
+  struct Sink final : LogSink {
+    explicit Sink(RecordingVolume& v) : volume(v) {}
+    void append(const std::uint8_t*, std::size_t) override {
+      ++volume.appends;
+    }
+    void sync() override { ++volume.syncs; }
+    void reset() override {}
+    RecordingVolume& volume;
+  };
+  std::unique_ptr<LogSink> open_log(const std::string&) override {
+    return std::make_unique<Sink>(*this);
+  }
+  void publish(const std::string&, const std::vector<std::uint8_t>&,
+               Durability) override {
+    ++publishes;
+  }
 };
 
-TEST(ChaosLogSink, InjectsErrorsOnlyInsideTheArmedWindow) {
+TEST(ChaosVolume, InjectsErrorsOnlyInsideTheArmedWindow) {
   auto chaos = std::make_shared<ChaosController>();
-  auto inner = std::make_unique<RecordingSink>();
-  RecordingSink* recorder = inner.get();
-  ChaosLogSink sink(std::move(inner), chaos, "/virtual/shard_0.log");
+  auto recorder = std::make_shared<RecordingVolume>();
+  ChaosVolume volume(recorder, chaos);
+  const auto sink = volume.open_log("/virtual/shard_0.log");
+  const std::vector<std::uint8_t> bytes{1, 2, 3};
+  const auto publish = [&] {
+    volume.publish("/virtual/shard_0.snap", bytes,
+                   Volume::Durability::kDurable);
+  };
 
   const std::uint8_t byte = 0x5a;
-  sink.append(&byte, 1);  // unarmed: passes through
-  chaos->arm(parse_fault_plan("error@1+2"));
-  sink.append(&byte, 1);  // op 0 since arming: before the window
-  EXPECT_THROW(sink.append(&byte, 1), IoError);  // op 1: in window
-  EXPECT_THROW(sink.sync(), IoError);            // op 2: in window
-  sink.append(&byte, 1);                         // op 3: window exhausted
+  sink->append(&byte, 1);  // unarmed: passes through
+  chaos->arm(parse_fault_plan("error@1+3"));
+  sink->append(&byte, 1);  // op 0 since arming: before the window
+  EXPECT_THROW(sink->append(&byte, 1), IoError);  // op 1: in window
+  EXPECT_THROW(sink->sync(), IoError);            // op 2: in window
+  EXPECT_THROW(publish(), IoError);               // op 3: in window
+  sink->append(&byte, 1);                         // op 4: window exhausted
+  publish();
   chaos->disarm();
-  sink.append(&byte, 1);
+  sink->append(&byte, 1);
   EXPECT_EQ(recorder->appends, 4u);
   EXPECT_EQ(recorder->syncs, 0u);
+  EXPECT_EQ(recorder->publishes, 1u);
   const auto stats = chaos->stats();
-  EXPECT_EQ(stats.injected_errors, 2u);
+  EXPECT_EQ(stats.injected_errors, 3u);
+  EXPECT_EQ(stats.ops, 8u);
 }
 
-TEST(ChaosLogSink, DropSyncSwallowsTheFsyncSilently) {
+TEST(ChaosVolume, DropSyncSwallowsTheFsyncSilently) {
   auto chaos = std::make_shared<ChaosController>();
-  auto inner = std::make_unique<RecordingSink>();
-  RecordingSink* recorder = inner.get();
-  ChaosLogSink sink(std::move(inner), chaos, "/virtual/shard_0.log");
+  auto recorder = std::make_shared<RecordingVolume>();
+  ChaosVolume volume(recorder, chaos);
+  const auto sink = volume.open_log("/virtual/shard_0.log");
   chaos->arm(parse_fault_plan("dropsync"));
   const std::uint8_t byte = 1;
-  sink.append(&byte, 1);  // appends pass under a dropsync plan
-  sink.sync();            // silently dropped — no error, no inner fsync
+  sink->append(&byte, 1);  // appends pass under a dropsync plan
+  sink->sync();            // silently dropped — no error, no inner fsync
+  volume.publish("/virtual/user_1.symd", {byte},
+                 Volume::Durability::kAtomic);  // publishes pass too
   EXPECT_EQ(recorder->appends, 1u);
   EXPECT_EQ(recorder->syncs, 0u);
+  EXPECT_EQ(recorder->publishes, 1u);
   EXPECT_EQ(chaos->stats().dropped_syncs, 1u);
 }
 
-TEST(ChaosLogSink, SlowPlanStallsThroughTheInjectedSleep) {
+TEST(ChaosVolume, SlowPlanStallsThroughTheInjectedSleep) {
   auto chaos = std::make_shared<ChaosController>();
-  auto inner = std::make_unique<RecordingSink>();
-  RecordingSink* recorder = inner.get();
+  auto recorder = std::make_shared<RecordingVolume>();
   std::vector<std::uint64_t> stalls;
-  ChaosLogSink sink(std::move(inner), chaos, "/virtual/shard_0.log",
-                    [&stalls](std::uint64_t ns) { stalls.push_back(ns); });
+  ChaosVolume volume(recorder, chaos,
+                     [&stalls](std::uint64_t ns) { stalls.push_back(ns); });
+  const auto sink = volume.open_log("/virtual/shard_0.log");
   chaos->arm(parse_fault_plan("slow:125"));
   const std::uint8_t byte = 1;
-  sink.append(&byte, 1);
+  sink->append(&byte, 1);
   ASSERT_EQ(stalls.size(), 1u);
   EXPECT_EQ(stalls[0], 125'000u);  // 125 us
   EXPECT_EQ(recorder->appends, 1u) << "slow ops still complete";
+}
+
+TEST(ChaosVolume, SlowPlanStallsPublishesToo) {
+  auto chaos = std::make_shared<ChaosController>();
+  auto recorder = std::make_shared<RecordingVolume>();
+  std::vector<std::uint64_t> stalls;
+  ChaosVolume volume(recorder, chaos,
+                     [&stalls](std::uint64_t ns) { stalls.push_back(ns); });
+  chaos->arm(parse_fault_plan("slow@1+1:250"));
+  const std::vector<std::uint8_t> bytes{7};
+  volume.publish("/virtual/shard_0.snap", bytes,
+                 Volume::Durability::kDurable);  // op 0: before the window
+  EXPECT_TRUE(stalls.empty());
+  volume.publish("/virtual/user_1.symd", bytes,
+                 Volume::Durability::kAtomic);  // op 1: stalls
+  ASSERT_EQ(stalls.size(), 1u);
+  EXPECT_EQ(stalls[0], 250'000u);
+  EXPECT_EQ(chaos->stats().injected_delays, stalls.size())
+      << "every counted delay is a real stall";
+  EXPECT_EQ(recorder->publishes, 2u) << "slow publishes still complete";
 }
 
 // --- Bounded RetrainQueue --------------------------------------------------
@@ -618,29 +664,8 @@ TEST(AuthGatewayResilience, DegradesServesFromMemoryAndReplaysOnRecovery) {
   config.io_retry.max_attempts = 1;
   config.clock = sim_clock_fn(clock);
   config.io_sleep = [](std::uint64_t) {};
-  config.persist_sink_factory =
-      [chaos](const std::string& path,
-              std::size_t) -> std::unique_ptr<LogSink> {
-    return std::make_unique<ChaosLogSink>(std::make_unique<FileLogSink>(path),
-                                          chaos, path);
-  };
-  config.persist_snapshot_writer = [chaos](const std::string& path,
-                                           std::size_t shard,
-                                           std::size_t shard_count,
-                                           std::uint64_t last_seq,
-                                           const core::PopulationStore& seg) {
-    if (chaos->next_append_action() == ChaosController::Action::kError) {
-      throw IoError("snapshot(chaos)", path, EIO);
-    }
-    write_shard_snapshot(path, shard, shard_count, last_seq, seg);
-  };
-  config.bundle_writer = [chaos](const std::vector<std::uint8_t>& bytes,
-                                 const std::string& path) {
-    if (chaos->next_append_action() == ChaosController::Action::kError) {
-      throw IoError("bundle(chaos)", path, EIO);
-    }
-    core::ModelStore::save_bytes(bytes, path);
-  };
+  config.volume =
+      std::make_shared<ChaosVolume>(std::make_shared<FileVolume>(), chaos);
 
   {
     AuthGateway gateway(config);
@@ -704,6 +729,37 @@ TEST(AuthGatewayResilience, DegradesServesFromMemoryAndReplaysOnRecovery) {
     const auto decisions =
         recovered.score_batch(0, kStationary, gw_vectors(0, 5, 321));
     EXPECT_EQ(decisions.size(), 5u);
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(AuthGatewayResilience, PermanentBundleErrorDefersWithoutBackoff) {
+  const std::string root =
+      (std::filesystem::temp_directory_path() /
+       ("sy_resilience_enotdir_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  GatewayConfig config;
+  config.model_dir = root + "/models";
+  config.io_retry.max_attempts = 3;
+  std::size_t sleeps = 0;
+  config.io_sleep = [&sleeps](std::uint64_t) { ++sleeps; };
+  {
+    AuthGateway gateway(config);
+    // The bundle directory becomes a regular file after start-up, so every
+    // bundle publish fails with ENOTDIR — a fault no backoff can cure.
+    std::filesystem::remove_all(config.model_dir);
+    std::ofstream(config.model_dir) << "not a directory";
+    gateway.contribute(1, kStationary, gw_vectors(1, 30, 11));
+    core::VectorsByContext positives;
+    positives[kStationary] = gw_vectors(0, 30, 10);
+    (void)gateway.enroll(0, positives, 99, /*contribute_positives=*/false);
+    EXPECT_EQ(sleeps, 0u) << "a permanent error is not retried";
+    EXPECT_EQ(gateway.pending_bundle_count(), 1u);
+    const auto decisions =
+        gateway.score_batch(0, kStationary, gw_vectors(0, 5, 321));
+    EXPECT_EQ(decisions.size(), 5u) << "scoring goes on from the cache";
   }
   std::filesystem::remove_all(root);
 }

@@ -18,10 +18,10 @@
 #include "core/model_store.h"
 #include "core/population_codec.h"
 #include "serve/auth_gateway.h"
-#include "serve/log_sink.h"
 #include "serve/shard_log.h"
 #include "serve/shard_snapshot.h"
 #include "serve/sharded_population_store.h"
+#include "serve/volume.h"
 #include "util/rng.h"
 
 namespace sy::serve {
@@ -59,6 +59,16 @@ std::vector<std::vector<double>> vectors_for(int token, std::size_t n,
 std::vector<std::uint8_t> merged_bytes(const ShardedPopulationStore& store) {
   return core::serialize_population(*store.snapshot());
 }
+
+// A FileVolume whose shard logs are MemoryLogSinks, for the crash tests.
+struct MemoryLogVolume final : FileVolume {
+  MemoryLogSink* log{nullptr};  // the last log opened
+  std::unique_ptr<LogSink> open_log(const std::string& path) override {
+    auto owned = std::make_unique<MemoryLogSink>(path);
+    log = owned.get();
+    return owned;
+  }
+};
 
 void flip_byte(const fs::path& file, std::size_t offset) {
   std::fstream io(file, std::ios::binary | std::ios::in | std::ios::out);
@@ -144,21 +154,16 @@ TEST(ShardPersistence, TornTailRecordIsDiscardedAndRecoverySucceeds) {
     options.dir = dir.str();
     options.compact_threshold = 0;
     options.sync_every = 1;
-    MemoryLogSink* sink = nullptr;
-    options.sink_factory = [&sink](const std::string& path,
-                                   std::size_t) -> std::unique_ptr<LogSink> {
-      auto owned = std::make_unique<MemoryLogSink>(path);
-      sink = owned.get();
-      return owned;
-    };
+    auto volume = std::make_shared<MemoryLogVolume>();
+    options.volume = volume;
     store.attach_persistence(options);
     store.contribute(1, kStationary, vectors_for(1, 2, 301));
     store.contribute(2, kMoving, vectors_for(2, 1, 302));
     expected = merged_bytes(store);
-    const std::size_t durable_before_tail = sink->bytes_appended();
+    const std::size_t durable_before_tail = volume->log->bytes_appended();
     store.contribute(3, kStationary, vectors_for(3, 2, 303));
     // Tear the final record 5 bytes in.
-    sink->materialize_crash(durable_before_tail + 5);
+    volume->log->materialize_crash(durable_before_tail + 5);
   }
 
   const auto replay = ShardLog::replay(ShardLog::path_for(dir.str(), 0), 0);
@@ -268,11 +273,16 @@ TEST(ShardPersistence, FailedAttachRollsBackExactlyAcrossShards) {
 
   PersistenceOptions failing;
   failing.dir = dir.str();
-  failing.sink_factory = [](const std::string& path,
-                            std::size_t shard) -> std::unique_ptr<LogSink> {
-    if (shard == 3) throw std::runtime_error("injected: disk full");
-    return std::make_unique<FileLogSink>(path);
+  struct FailingVolume final : FileVolume {
+    std::string bad_log;
+    std::unique_ptr<LogSink> open_log(const std::string& path) override {
+      if (path == bad_log) throw std::runtime_error("injected: disk full");
+      return FileVolume::open_log(path);
+    }
   };
+  auto volume = std::make_shared<FailingVolume>();
+  volume->bad_log = ShardLog::path_for(dir.str(), 3);
+  failing.volume = volume;
   EXPECT_THROW(store.attach_persistence(failing), std::runtime_error);
   EXPECT_FALSE(store.persistent());
   // The in-memory store is exactly its pre-attach self: no recovered
@@ -306,15 +316,9 @@ TEST(ShardPersistence, DroppedFsyncsLoseExactlyTheUnsyncedSuffix) {
     options.dir = dir.str();
     options.compact_threshold = 0;
     options.sync_every = 1;
-    MemoryLogSink* sink = nullptr;
+    auto logs = std::make_shared<MemoryLogVolume>();
     auto chaos = std::make_shared<ChaosController>();
-    options.sink_factory = [&sink, chaos](
-                               const std::string& path,
-                               std::size_t) -> std::unique_ptr<LogSink> {
-      auto owned = std::make_unique<MemoryLogSink>(path);
-      sink = owned.get();
-      return std::make_unique<ChaosLogSink>(std::move(owned), chaos, path);
-    };
+    options.volume = std::make_shared<ChaosVolume>(logs, chaos);
     store.attach_persistence(options);
     store.contribute(1, kStationary, vectors_for(1, 2, 321));
     store.contribute(2, kMoving, vectors_for(2, 1, 322));
@@ -324,7 +328,7 @@ TEST(ShardPersistence, DroppedFsyncsLoseExactlyTheUnsyncedSuffix) {
     chaos->arm(parse_fault_plan("dropsync"));
     store.contribute(3, kStationary, vectors_for(3, 2, 323));
     EXPECT_GT(chaos->stats().dropped_syncs, 0u);
-    sink->materialize_crash();
+    logs->log->materialize_crash();
   }
 
   ShardedPopulationStore recovered_store(1);

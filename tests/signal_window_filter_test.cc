@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <numeric>
 #include <vector>
 
-#include "signal/filters.h"
 #include "signal/resample.h"
 #include "signal/window.h"
 
@@ -59,58 +57,6 @@ TEST(Segment, ZeroWindowThrows) {
   spec.window_seconds = 0.0;
   std::vector<double> xs(10);
   EXPECT_THROW((void)segment(xs, spec), std::invalid_argument);
-}
-
-TEST(LowPass, AttenuatesHighPassesLow) {
-  const double rate = 50.0;
-  LowPassFilter lp(2.0, rate);
-  // Feed a 20 Hz tone; output RMS should collapse.
-  double energy_out = 0.0, energy_in = 0.0;
-  for (int i = 0; i < 500; ++i) {
-    const double x = std::sin(2.0 * 3.14159265 * 20.0 * i / rate);
-    const double y = lp.step(x);
-    if (i > 100) {  // skip transient
-      energy_in += x * x;
-      energy_out += y * y;
-    }
-  }
-  EXPECT_LT(energy_out, 0.05 * energy_in);
-
-  LowPassFilter lp2(2.0, rate);
-  double out = 0.0;
-  for (int i = 0; i < 500; ++i) out = lp2.step(1.0);
-  EXPECT_NEAR(out, 1.0, 1e-6);  // DC passes
-}
-
-TEST(LowPass, Validation) {
-  EXPECT_THROW(LowPassFilter(-1.0, 50.0), std::invalid_argument);
-  EXPECT_THROW(LowPassFilter(1.0, 0.0), std::invalid_argument);
-}
-
-TEST(MovingAverage, SmoothsAndPreservesMeanOfConstant) {
-  std::vector<double> xs(20, 4.0);
-  const auto out = moving_average(xs, 5);
-  for (const double v : out) EXPECT_DOUBLE_EQ(v, 4.0);
-}
-
-TEST(MovingAverage, EdgesUseShrunkenWindows) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  const auto out = moving_average(xs, 3);
-  EXPECT_DOUBLE_EQ(out[0], 1.5);  // mean of {1,2}
-  EXPECT_DOUBLE_EQ(out[1], 2.0);
-  EXPECT_DOUBLE_EQ(out[2], 2.5);
-}
-
-TEST(MovingAverage, EvenWindowThrows) {
-  std::vector<double> xs(5, 0.0);
-  EXPECT_THROW((void)moving_average(xs, 4), std::invalid_argument);
-}
-
-TEST(RemoveDc, ZeroMeanOutput) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  const auto out = remove_dc(xs);
-  EXPECT_NEAR(out[0] + out[1] + out[2], 0.0, 1e-12);
-  EXPECT_DOUBLE_EQ(out[0], -1.0);
 }
 
 TEST(Resample, IdentityOnAlignedSamples) {

@@ -83,6 +83,15 @@ Matrix gram_matrix(const Matrix& x, const Kernel& kernel) {
   return k;
 }
 
+void gram_lower(const Matrix& x, const Kernel& kernel, Matrix& out) {
+  const std::size_t n = x.rows();
+  SY_ASSERT(out.rows() == n && out.cols() == n, "gram_lower: output shape");
+  const double gamma = kernel.effective_gamma(x.cols());
+  for (std::size_t i = 0; i < n; ++i) {
+    kernel_row(x, 0, i + 1, x.row(i), kernel, gamma, out.row(i).data());
+  }
+}
+
 std::vector<double> kernel_vector(const Matrix& x, std::span<const double> z,
                                   const Kernel& kernel) {
   std::vector<double> out(x.rows());

@@ -32,6 +32,12 @@ struct Kernel {
 // Gram matrix K[i][j] = k(x_i, x_j) over the rows of `x`.
 Matrix gram_matrix(const Matrix& x, const Kernel& kernel);
 
+// The lower triangle (diagonal included) of the same Gram matrix, written
+// into `out` in place: row i gets k(x_i, x_j) for j <= i from one row-kernel
+// pass over rows 0..i. The strictly upper triangle of `out` is not touched.
+// Entries are bit-identical to gram_matrix's.
+void gram_lower(const Matrix& x, const Kernel& kernel, Matrix& out);
+
 // Cross-kernel vector k_i = k(x_i, z) for all rows of `x`: one fused row
 // kernel pass over every row of `x`.
 std::vector<double> kernel_vector(const Matrix& x, std::span<const double> z,

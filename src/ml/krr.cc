@@ -64,9 +64,18 @@ void KrrClassifier::fit(const Matrix& x, const std::vector<int>& y) {
 
 void KrrClassifier::fit_dual(const Matrix& x, std::span<const double> y) {
   train_x_ = x;
-  Matrix k = gram_matrix(x, config_.kernel);
-  k.add_diagonal(config_.rho);
-  alpha_ = solve_spd(k, y);
+  // K + rho I is built lower-triangle-only, straight into the buffer the
+  // Cholesky factors in place: no mirrored upper half, no second N x N
+  // copy. Same entries and factor as gram_matrix + add_diagonal +
+  // solve_spd.
+  const std::size_t n = x.rows();
+  Matrix l(n, n);
+  gram_lower(x, config_.kernel, l);
+  for (std::size_t i = 0; i < n; ++i) l(i, i) += config_.rho;
+  if (num::cholesky_inplace(l.data().data(), n, n) != n) {
+    throw std::runtime_error("cholesky: matrix not positive definite");
+  }
+  alpha_ = cholesky_solve(l, y);
   weights_.reset();
 }
 

@@ -76,24 +76,30 @@ void rff_transform_row(const double* freqs, std::size_t n_freq,
 
 /// Blocked right-looking Cholesky factorization, in place on the lower
 /// triangle of the row-major `n` x `n` matrix `a` (leading dimension
-/// `stride`, stride >= n). Panel factor + fused triangular solve + rank-k
-/// trailing update; the inner reductions dispatch on the active backend. The
-/// strictly upper triangle is left untouched.
+/// `stride`, stride >= n). Per 64-column panel: factor the diagonal block,
+/// solve the rows below it against that block, then apply the rank-k
+/// trailing update. The strictly upper triangle is neither read nor
+/// written.
 ///
 /// \return `n` on success. On a non-positive pivot, returns its index j (the
 /// matrix is not positive definite); entries at and beyond column j are
 /// partially updated garbage.
 ///
-/// Scalar bit-exactness: every entry undergoes the same subtraction sequence
-/// (ascending k), sqrt, and division as the classic unblocked left-looking
-/// loop, so the scalar factor is bit-identical to it; blocking only reorders
-/// which entry is visited next, never the per-entry operation order.
+/// Scalar (the reference): every entry undergoes the same subtraction
+/// sequence (ascending k), sqrt, and division as the classic unblocked
+/// left-looking loop, so the scalar factor is bit-identical to it; blocking
+/// only reorders which entry is visited next. avx2/avx512: the diagonal
+/// block keeps the per-entry dot_sub; the rows below it and the trailing
+/// update run the packed kernels (cholesky_panel_solve, cholesky_update),
+/// where each entry is one fused multiply-subtract chain in ascending k.
+/// Within 1e-12 of scalar (relative to the diagonal scale).
 std::size_t cholesky_inplace(double* a, std::size_t n, std::size_t stride);
 
 /// How the pooled Cholesky overload schedules the per-panel work. Every
-/// schedule produces a BITWISE identical factor per backend: each entry's
-/// own ascending-k subtraction order never changes, only which thread
-/// visits it when (pinned in tests/num_kernels_test).
+/// schedule produces a BITWISE identical factor per backend: an entry's
+/// value is a function of (i, j, k-range) alone — never of which tile, row
+/// block or thread computes it — so only the visiting order changes
+/// (pinned in tests/num_kernels_test).
 enum class CholeskySchedule {
   /// Panel factor and trailing update both on the calling thread.
   kSerial,
@@ -125,6 +131,30 @@ std::size_t cholesky_inplace(double* a, std::size_t n, std::size_t stride,
 /// tile must amortize the submit/steal handshake, and the serving stack's
 /// per-user systems (tens to a few hundred rows) never benefit.
 inline constexpr std::size_t kCholeskyParallelRows = 192;
+
+/// Packed-Cholesky layout shared by the avx2:: and avx512:: kernels. For
+/// panel columns [p0, p1) (nb = p1 - p0) the L21 rows [p1, n) are stored in
+/// 8-row groups, k-major: row p1 + 8g + l, column p0 + k lives at
+/// `pack[g * 8 * nb + 8 * k + l]`, and lanes past row n are zero. The pack
+/// holds cholesky_pack_groups(n - p1) groups (an even count, so a
+/// 16-column trailing block never reads past it) and must be 64-byte
+/// aligned.
+///
+/// cholesky_panel_solve(pack, groups, nb, l11, stride): solves the packed
+/// rows in place against the factored diagonal block `l11` (row-major,
+/// leading dimension `stride`), rows-in-lanes — entry (i, j) becomes
+/// a(i, j) minus x(i, k) * l11(j, k) for k = 0 .. j-1 ascending, one fused
+/// multiply-subtract each, then divided by l11(j, j). `groups` is even.
+///
+/// cholesky_update(a, stride, p0, p1, pack, r0, r1, c0, c1): for rows i in
+/// [r0, r1) (r0 >= p1) and columns j in [c0, min(c1, i + 1)), a(i, j)
+/// -= l(i, k) * l(j, k) for k = p0 .. p1-1 ascending, one fused
+/// multiply-subtract each, with l(i, k) read from `a` and l(j, k) from
+/// `pack`. `c0 - p1` must be a multiple of 16. Lanes outside the range are
+/// masked: nothing outside it is read or written in `a`.
+inline constexpr std::size_t cholesky_pack_groups(std::size_t rows) {
+  return (rows + 15) / 16 * 2;
+}
 
 /// Bit-exact reference implementations (see the file contract above).
 namespace scalar {
@@ -159,11 +189,15 @@ double squared_distance(std::span<const double> a, std::span<const double> b);
 /// `init - <a, b>` via the lane-parallel dot.
 double dot_sub(double init, std::span<const double> a,
                std::span<const double> b);
-/// `dst[c] -= <a, b[c]>` for four right-hand rows at once — the Cholesky
-/// trailing update's register-blocked micro-kernel (one call, one vector
-/// subtract, no per-entry horizontal reduction).
-void dot_sub4(double* dst, const double* a, const double* const b[4],
-              std::size_t n);
+/// Packed Cholesky panel solve (rows-in-lanes); contract under
+/// cholesky_pack_groups.
+void cholesky_panel_solve(double* pack, std::size_t groups, std::size_t nb,
+                          const double* l11, std::size_t stride);
+/// Packed Cholesky trailing update (4 rows x 8 columns per block);
+/// contract under cholesky_pack_groups.
+void cholesky_update(double* a, std::size_t stride, std::size_t p0,
+                     std::size_t p1, const double* pack, std::size_t r0,
+                     std::size_t r1, std::size_t c0, std::size_t c1);
 /// Vectorized `y += alpha * x`; remainder lanes use scalar std::fma.
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
 /// Quad-row fused RBF kernel (four accumulator chains + one exp4 call).
@@ -198,11 +232,15 @@ double squared_distance(std::span<const double> a, std::span<const double> b);
 /// `init - <a, b>` via the 8-lane dot.
 double dot_sub(double init, std::span<const double> a,
                std::span<const double> b);
-/// `dst[c] -= <a, b[c]>` for eight right-hand rows at once — the Cholesky
-/// trailing update's register-blocked micro-kernel (the row slice of `a`
-/// is loaded once per eight columns).
-void dot_sub8(double* dst, const double* a, const double* const b[8],
-              std::size_t n);
+/// Packed Cholesky panel solve (rows-in-lanes); contract under
+/// cholesky_pack_groups.
+void cholesky_panel_solve(double* pack, std::size_t groups, std::size_t nb,
+                          const double* l11, std::size_t stride);
+/// Packed Cholesky trailing update (8 rows x 16 columns per block in 16 zmm
+/// accumulators); contract under cholesky_pack_groups.
+void cholesky_update(double* a, std::size_t stride, std::size_t p0,
+                     std::size_t p1, const double* pack, std::size_t r0,
+                     std::size_t r1, std::size_t c0, std::size_t c1);
 /// 8-lane `y += alpha * x`; the tail is a masked fused multiply-add, so
 /// every element sees the identical fma regardless of lane position.
 void axpy(double alpha, std::span<const double> x, std::span<double> y);

@@ -19,6 +19,7 @@
 #define SY_NUM_HAVE_AVX2 0
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -183,37 +184,123 @@ SY_AVX2 double dot_sub(double init, std::span<const double> a,
   return init - dot(a, b);
 }
 
-SY_AVX2 void dot_sub4(double* dst, const double* a, const double* const b[4],
-                      std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d va = _mm256_loadu_pd(a + i);
-    acc0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b[0] + i), acc0);
-    acc1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b[1] + i), acc1);
-    acc2 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b[2] + i), acc2);
-    acc3 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b[3] + i), acc3);
-  }
-  // Cross-lane reduce all four accumulators into one [s0 s1 s2 s3] vector.
-  const __m256d h01 = _mm256_hadd_pd(acc0, acc1);  // [a0+a0' a1+a1' ..]
-  const __m256d h23 = _mm256_hadd_pd(acc2, acc3);
-  __m256d sums = _mm256_add_pd(_mm256_permute2f128_pd(h01, h23, 0x20),
-                               _mm256_permute2f128_pd(h01, h23, 0x31));
-  if (i < n) {
-    double tail[4] = {0.0, 0.0, 0.0, 0.0};
-    for (; i < n; ++i) {
-      const double va = a[i];
-      tail[0] += va * b[0][i];
-      tail[1] += va * b[1][i];
-      tail[2] += va * b[2][i];
-      tail[3] += va * b[3][i];
+namespace {
+
+// Lane mask selecting the low `count` of four lanes (count in [0, 4]).
+SY_AVX2 inline __m256i lane_mask(std::size_t count) {
+  return _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(count)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+// Rows-in-lanes forward solve of G consecutive pack groups (two ymm halves
+// each) against L11: entry (i, j) is b(i, j) minus x(i, k) * l11(j, k) for
+// k ascending, one fnmadd each, then one division by l11(j, j) — whatever
+// lane or pass it lands in.
+template <int G>
+SY_AVX2 inline void solve_groups(double* t, std::size_t nb, const double* l11,
+                                 std::size_t stride) {
+  const std::size_t gs = 8 * nb;
+  for (std::size_t j = 0; j < nb; ++j) {
+    const double* lj = l11 + j * stride;
+    __m256d x[2 * G];
+#pragma GCC unroll 8
+    for (int q = 0; q < 2 * G; ++q) {
+      x[q] = _mm256_load_pd(t + (q / 2) * gs + 8 * j + (q % 2) * 4);
     }
-    sums = _mm256_add_pd(sums, _mm256_loadu_pd(tail));
+    for (std::size_t k = 0; k < j; ++k) {
+      const __m256d ljk = _mm256_broadcast_sd(lj + k);
+#pragma GCC unroll 8
+      for (int q = 0; q < 2 * G; ++q) {
+        x[q] = _mm256_fnmadd_pd(
+            _mm256_load_pd(t + (q / 2) * gs + 8 * k + (q % 2) * 4), ljk, x[q]);
+      }
+    }
+    const __m256d d = _mm256_broadcast_sd(lj + j);
+#pragma GCC unroll 8
+    for (int q = 0; q < 2 * G; ++q) {
+      _mm256_store_pd(t + (q / 2) * gs + 8 * j + (q % 2) * 4,
+                      _mm256_div_pd(x[q], d));
+    }
   }
-  _mm256_storeu_pd(dst, _mm256_sub_pd(_mm256_loadu_pd(dst), sums));
+}
+
+// Trailing-update micro-kernel: rows [i0, i0 + R) across columns
+// [c0, min(c1, i0 + R)), one R x 8 block (one packed column group, two ymm
+// halves, 2R accumulators) at a time. Lane masks keep row i to columns
+// [j0, min(c1, i + 1)): nothing above the diagonal or past c1 is loaded or
+// stored. Each lane is one fnmadd chain in ascending k, so an entry's bits
+// never depend on the block it lands in.
+template <int R>
+SY_AVX2 inline void update_row_block(double* a, std::size_t stride,
+                                     std::size_t p0, std::size_t p1,
+                                     const double* pack, std::size_t i0,
+                                     std::size_t c0, std::size_t c1) {
+  const std::size_t nb = p1 - p0;
+  const double* l = a + i0 * stride + p0;  // row i0's panel slice
+  const std::size_t jend = std::min(c1, i0 + R);
+  for (std::size_t j0 = c0; j0 < jend; j0 += 8) {
+    double* c = a + i0 * stride + j0;
+    const double* b = pack + (j0 - p1) / 8 * 8 * nb;
+    __m256i m0[R];
+    __m256i m1[R];
+    __m256d acc0[R];
+    __m256d acc1[R];
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const std::size_t end = std::min(c1, i0 + r + 1);
+      const std::size_t valid =
+          end > j0 ? std::min<std::size_t>(end - j0, 8) : 0;
+      m0[r] = lane_mask(std::min<std::size_t>(valid, 4));
+      m1[r] = lane_mask(valid > 4 ? valid - 4 : 0);
+      acc0[r] = _mm256_maskload_pd(c + r * stride, m0[r]);
+      acc1[r] = _mm256_maskload_pd(c + r * stride + 4, m1[r]);
+    }
+    for (std::size_t k = 0; k < nb; ++k) {
+      const __m256d bk0 = _mm256_load_pd(b + 8 * k);
+      const __m256d bk1 = _mm256_load_pd(b + 8 * k + 4);
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+        const __m256d lik = _mm256_broadcast_sd(l + r * stride + k);
+        acc0[r] = _mm256_fnmadd_pd(lik, bk0, acc0[r]);
+        acc1[r] = _mm256_fnmadd_pd(lik, bk1, acc1[r]);
+      }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      _mm256_maskstore_pd(c + r * stride, m0[r], acc0[r]);
+      _mm256_maskstore_pd(c + r * stride + 4, m1[r], acc1[r]);
+    }
+  }
+}
+
+}  // namespace
+
+SY_AVX2 void cholesky_panel_solve(double* pack, std::size_t groups,
+                                  std::size_t nb, const double* l11,
+                                  std::size_t stride) {
+  // Four groups (32 rows: eight independent fnmadd chains per column) per
+  // pass, then the remainder.
+  const std::size_t gs = 8 * nb;
+  std::size_t g = 0;
+  for (; g + 4 <= groups; g += 4) {
+    solve_groups<4>(pack + g * gs, nb, l11, stride);
+  }
+  if (g < groups) solve_groups<2>(pack + g * gs, nb, l11, stride);  // even
+}
+
+SY_AVX2 void cholesky_update(double* a, std::size_t stride, std::size_t p0,
+                             std::size_t p1, const double* pack,
+                             std::size_t r0, std::size_t r1, std::size_t c0,
+                             std::size_t c1) {
+  // Row blocks outermost: the block's four panel rows (4 * nb doubles)
+  // stay in L1 and its four output rows stream left to right, while the
+  // pack (L2-resident) supplies one 8-column group per block.
+  std::size_t i = r0;
+  for (; i + 4 <= r1; i += 4) {
+    update_row_block<4>(a, stride, p0, p1, pack, i, c0, c1);
+  }
+  for (; i < r1; ++i) update_row_block<1>(a, stride, p0, p1, pack, i, c0, c1);
 }
 
 SY_AVX2 void axpy(double alpha, std::span<const double> x,
@@ -529,11 +616,16 @@ double dot_sub(double init, std::span<const double> a,
   return scalar::dot_sub(init, a, b);
 }
 
-void dot_sub4(double* dst, const double* a, const double* const b[4],
-              std::size_t n) {
-  for (int c = 0; c < 4; ++c) {
-    dst[c] = scalar::dot_sub(dst[c], {a, n}, {b[c], n});
-  }
+// Never dispatched: the avx2 backend is unavailable in this build.
+void cholesky_panel_solve(double*, std::size_t, std::size_t, const double*,
+                          std::size_t) {
+  SY_ASSERT(false, "num::avx2::cholesky_panel_solve: not compiled in");
+}
+
+void cholesky_update(double*, std::size_t, std::size_t, std::size_t,
+                     const double*, std::size_t, std::size_t, std::size_t,
+                     std::size_t) {
+  SY_ASSERT(false, "num::avx2::cholesky_update: not compiled in");
 }
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {

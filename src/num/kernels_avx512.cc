@@ -27,6 +27,7 @@
 #define SY_NUM_HAVE_AVX512 0
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -217,51 +218,113 @@ SY_AVX512 double dot_sub(double init, std::span<const double> a,
   return init - dot(a, b);
 }
 
-SY_AVX512 void dot_sub8(double* dst, const double* a,
-                        const double* const b[8], std::size_t n) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  __m512d acc2 = _mm512_setzero_pd();
-  __m512d acc3 = _mm512_setzero_pd();
-  __m512d acc4 = _mm512_setzero_pd();
-  __m512d acc5 = _mm512_setzero_pd();
-  __m512d acc6 = _mm512_setzero_pd();
-  __m512d acc7 = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d va = _mm512_loadu_pd(a + i);
-    acc0 = _mm512_fmadd_pd(va, _mm512_loadu_pd(b[0] + i), acc0);
-    acc1 = _mm512_fmadd_pd(va, _mm512_loadu_pd(b[1] + i), acc1);
-    acc2 = _mm512_fmadd_pd(va, _mm512_loadu_pd(b[2] + i), acc2);
-    acc3 = _mm512_fmadd_pd(va, _mm512_loadu_pd(b[3] + i), acc3);
-    acc4 = _mm512_fmadd_pd(va, _mm512_loadu_pd(b[4] + i), acc4);
-    acc5 = _mm512_fmadd_pd(va, _mm512_loadu_pd(b[5] + i), acc5);
-    acc6 = _mm512_fmadd_pd(va, _mm512_loadu_pd(b[6] + i), acc6);
-    acc7 = _mm512_fmadd_pd(va, _mm512_loadu_pd(b[7] + i), acc7);
+namespace {
+
+// Rows-in-lanes forward solve of G consecutive pack groups against L11:
+// entry (i, j) is b(i, j) minus x(i, k) * l11(j, k) for k ascending, one
+// fnmadd each, then one division by l11(j, j) — whatever lane or pass it
+// lands in. The G groups are G independent chains per column.
+template <int G>
+SY_AVX512 inline void solve_groups(double* t, std::size_t nb,
+                                   const double* l11, std::size_t stride) {
+  const std::size_t gs = 8 * nb;
+  for (std::size_t j = 0; j < nb; ++j) {
+    const double* lj = l11 + j * stride;
+    __m512d x[G];
+#pragma GCC unroll 8
+    for (int q = 0; q < G; ++q) x[q] = _mm512_load_pd(t + q * gs + 8 * j);
+    for (std::size_t k = 0; k < j; ++k) {
+      const __m512d ljk = _mm512_set1_pd(lj[k]);
+#pragma GCC unroll 8
+      for (int q = 0; q < G; ++q) {
+        x[q] = _mm512_fnmadd_pd(_mm512_load_pd(t + q * gs + 8 * k), ljk, x[q]);
+      }
+    }
+    const __m512d d = _mm512_set1_pd(lj[j]);
+#pragma GCC unroll 8
+    for (int q = 0; q < G; ++q) {
+      _mm512_store_pd(t + q * gs + 8 * j, _mm512_div_pd(x[q], d));
+    }
   }
-  if (i < n) {
-    const __mmask8 m = tail_mask(n - i);
-    const __m512d va = _mm512_maskz_loadu_pd(m, a + i);
-    acc0 = _mm512_fmadd_pd(va, _mm512_maskz_loadu_pd(m, b[0] + i), acc0);
-    acc1 = _mm512_fmadd_pd(va, _mm512_maskz_loadu_pd(m, b[1] + i), acc1);
-    acc2 = _mm512_fmadd_pd(va, _mm512_maskz_loadu_pd(m, b[2] + i), acc2);
-    acc3 = _mm512_fmadd_pd(va, _mm512_maskz_loadu_pd(m, b[3] + i), acc3);
-    acc4 = _mm512_fmadd_pd(va, _mm512_maskz_loadu_pd(m, b[4] + i), acc4);
-    acc5 = _mm512_fmadd_pd(va, _mm512_maskz_loadu_pd(m, b[5] + i), acc5);
-    acc6 = _mm512_fmadd_pd(va, _mm512_maskz_loadu_pd(m, b[6] + i), acc6);
-    acc7 = _mm512_fmadd_pd(va, _mm512_maskz_loadu_pd(m, b[7] + i), acc7);
+}
+
+// Trailing-update micro-kernel: rows [i0, i0 + R) across columns
+// [c0, min(c1, i0 + R)), one R x 16 block (two packed column groups, 2R zmm
+// accumulators) at a time. Lane masks keep row i to columns
+// [j0, min(c1, i + 1)): nothing above the diagonal or past c1 is loaded or
+// stored. Each lane is one fnmadd chain in ascending k, so an entry's bits
+// never depend on the block it lands in.
+template <int R>
+SY_AVX512 inline void update_row_block(double* a, std::size_t stride,
+                                       std::size_t p0, std::size_t p1,
+                                       const double* pack, std::size_t i0,
+                                       std::size_t c0, std::size_t c1) {
+  const std::size_t nb = p1 - p0;
+  const double* l = a + i0 * stride + p0;  // row i0's panel slice
+  const std::size_t jend = std::min(c1, i0 + R);
+  for (std::size_t j0 = c0; j0 < jend; j0 += 16) {
+    double* c = a + i0 * stride + j0;
+    const double* b0 = pack + (j0 - p1) / 8 * 8 * nb;
+    const double* b1 = b0 + 8 * nb;
+    __mmask8 m0[R];
+    __mmask8 m1[R];
+    __m512d acc0[R];
+    __m512d acc1[R];
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const std::size_t end = std::min(c1, i0 + r + 1);
+      const std::size_t valid =
+          end > j0 ? std::min<std::size_t>(end - j0, 16) : 0;
+      m0[r] = tail_mask(std::min<std::size_t>(valid, 8));
+      m1[r] = tail_mask(valid > 8 ? valid - 8 : 0);
+      acc0[r] = _mm512_maskz_loadu_pd(m0[r], c + r * stride);
+      acc1[r] = _mm512_maskz_loadu_pd(m1[r], c + r * stride + 8);
+    }
+    for (std::size_t k = 0; k < nb; ++k) {
+      const __m512d bk0 = _mm512_load_pd(b0 + 8 * k);
+      const __m512d bk1 = _mm512_load_pd(b1 + 8 * k);
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+        const __m512d lik = _mm512_set1_pd(l[r * stride + k]);
+        acc0[r] = _mm512_fnmadd_pd(lik, bk0, acc0[r]);
+        acc1[r] = _mm512_fnmadd_pd(lik, bk1, acc1[r]);
+      }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      _mm512_mask_storeu_pd(c + r * stride, m0[r], acc0[r]);
+      _mm512_mask_storeu_pd(c + r * stride + 8, m1[r], acc1[r]);
+    }
   }
-  double sums[8];
-  sums[0] = hsum8(acc0);
-  sums[1] = hsum8(acc1);
-  sums[2] = hsum8(acc2);
-  sums[3] = hsum8(acc3);
-  sums[4] = hsum8(acc4);
-  sums[5] = hsum8(acc5);
-  sums[6] = hsum8(acc6);
-  sums[7] = hsum8(acc7);
-  _mm512_storeu_pd(
-      dst, _mm512_sub_pd(_mm512_loadu_pd(dst), _mm512_loadu_pd(sums)));
+}
+
+}  // namespace
+
+SY_AVX512 void cholesky_panel_solve(double* pack, std::size_t groups,
+                                    std::size_t nb, const double* l11,
+                                    std::size_t stride) {
+  // Eight groups (64 rows: eight independent fnmadd chains per column) per
+  // pass, then the remainder two at a time (`groups` is even).
+  const std::size_t gs = 8 * nb;
+  std::size_t g = 0;
+  for (; g + 8 <= groups; g += 8) {
+    solve_groups<8>(pack + g * gs, nb, l11, stride);
+  }
+  for (; g < groups; g += 2) solve_groups<2>(pack + g * gs, nb, l11, stride);
+}
+
+SY_AVX512 void cholesky_update(double* a, std::size_t stride, std::size_t p0,
+                               std::size_t p1, const double* pack,
+                               std::size_t r0, std::size_t r1, std::size_t c0,
+                               std::size_t c1) {
+  // Row blocks outermost: the block's eight panel rows (8 * nb doubles)
+  // stay in L1 and its eight output rows stream left to right, while the
+  // pack (L2-resident) supplies one 16-column slab per block.
+  std::size_t i = r0;
+  for (; i + 8 <= r1; i += 8) {
+    update_row_block<8>(a, stride, p0, p1, pack, i, c0, c1);
+  }
+  for (; i < r1; ++i) update_row_block<1>(a, stride, p0, p1, pack, i, c0, c1);
 }
 
 SY_AVX512 void axpy(double alpha, std::span<const double> x,
@@ -579,11 +642,16 @@ double dot_sub(double init, std::span<const double> a,
   return scalar::dot_sub(init, a, b);
 }
 
-void dot_sub8(double* dst, const double* a, const double* const b[8],
-              std::size_t n) {
-  for (int c = 0; c < 8; ++c) {
-    dst[c] = scalar::dot_sub(dst[c], {a, n}, {b[c], n});
-  }
+// Never dispatched: the avx512 backend is unavailable in this build.
+void cholesky_panel_solve(double*, std::size_t, std::size_t, const double*,
+                          std::size_t) {
+  SY_ASSERT(false, "num::avx512::cholesky_panel_solve: not compiled in");
+}
+
+void cholesky_update(double*, std::size_t, std::size_t, std::size_t,
+                     const double*, std::size_t, std::size_t, std::size_t,
+                     std::size_t) {
+  SY_ASSERT(false, "num::avx512::cholesky_update: not compiled in");
 }
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {

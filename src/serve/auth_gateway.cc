@@ -113,6 +113,10 @@ void AuthGateway::on_breaker_transition(CircuitBreaker::State to) {
   // Recovery. The hook can fire with a shard mutex held (contribute → heal →
   // on_success), so the replay MUST run asynchronously: a synchronous
   // flush_deferred() here would re-take that shard's mutex and deadlock.
+  submit_replay();
+}
+
+void AuthGateway::submit_replay() {
   {
     std::lock_guard<std::mutex> lock(replay_mutex_);
     ++replay_inflight_;
@@ -256,9 +260,18 @@ bool AuthGateway::install_model(int user_token,
       try {
         write_bundle(user_token, bytes);
         persist_breaker_.on_success();
-        // This durable write supersedes any bundle deferred for the user.
-        std::lock_guard<std::mutex> lock(bundle_mutex_);
-        pending_bundles_.erase(user_token);
+        bool backlog = false;
+        {
+          // This durable write supersedes any bundle deferred for the user.
+          std::lock_guard<std::mutex> lock(bundle_mutex_);
+          pending_bundles_.erase(user_token);
+          backlog = !pending_bundles_.empty();
+        }
+        // Other users' bundles deferred after a failure that left the
+        // breaker closed: no open→closed transition will ever replay them,
+        // and the volume has just taken a write. Replay asynchronously —
+        // this thread holds an install stripe the replay takes per user.
+        if (backlog) submit_replay();
       } catch (const IoError& e) {
         persist_breaker_.on_failure();
         {

@@ -274,6 +274,9 @@ class AuthGateway {
   /// Breaker transition hook: pauses/unpauses cache eviction and, on close,
   /// kicks the asynchronous deferred-work replay.
   void on_breaker_transition(CircuitBreaker::State to);
+  /// Submits replay_deferred_work() to the pool, counted in
+  /// replay_inflight_ so wait_replay_idle() and the destructor outwait it.
+  void submit_replay();
   /// Replay body (pool task): population backlog first, then bundles.
   void replay_deferred_work();
   void replay_pending_bundles();
@@ -345,8 +348,9 @@ class AuthGateway {
   mutable std::mutex bundle_mutex_;
   std::unordered_map<int, PendingBundle> pending_bundles_;
 
-  /// In-flight replay tasks (submitted to pool_ when the breaker closes);
-  /// the destructor must outwait them — they capture `this`.
+  /// In-flight replay tasks (submitted to pool_ when the breaker closes, or
+  /// when a bundle write succeeds while others are still deferred); the
+  /// destructor must outwait them — they capture `this`.
   mutable std::mutex replay_mutex_;
   mutable std::condition_variable replay_cv_;
   std::size_t replay_inflight_{0};

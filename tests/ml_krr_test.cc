@@ -8,6 +8,8 @@
 #include <cstdint>
 
 #include "ml/dataset.h"
+#include "ml/kernel.h"
+#include "ml/linalg.h"
 #include "num/backend.h"
 #include "num/kernels.h"
 #include "util/rng.h"
@@ -223,9 +225,8 @@ class BackendScope {
   num::Backend saved_;
 };
 
-// Exact dual RBF model over `n` rows of dimension `dim`, fit on the scalar
-// backend so every backend scores the same alpha and X.
-KrrClassifier dual_rbf_model(std::size_t n, std::size_t dim, util::Rng& rng) {
+// `n` rows of dimension `dim`, labels alternating +1 / -1.
+Dataset dual_training_set(std::size_t n, std::size_t dim, util::Rng& rng) {
   Dataset data;
   std::vector<double> x(dim);
   for (std::size_t i = 0; i < n; ++i) {
@@ -233,6 +234,13 @@ KrrClassifier dual_rbf_model(std::size_t n, std::size_t dim, util::Rng& rng) {
     for (auto& v : x) v = rng.gaussian(0.5 * label, 1.0);
     data.add(x, label);
   }
+  return data;
+}
+
+// Exact dual RBF model over `n` rows of dimension `dim`, fit on the scalar
+// backend so every backend scores the same alpha and X.
+KrrClassifier dual_rbf_model(std::size_t n, std::size_t dim, util::Rng& rng) {
+  const Dataset data = dual_training_set(n, dim, rng);
   const BackendScope scalar(num::Backend::kScalar);
   KrrClassifier krr{KrrConfig{}};
   krr.fit(data.x, data.y);
@@ -350,6 +358,73 @@ TEST(KrrDualScoring, SimdDecisionWithinToleranceOfScalar) {
   }
 }
 
+// --- Exact dual fit ---------------------------------------------------------
+// fit() builds K + rho I lower-triangle-only, straight into the buffer the
+// Cholesky factors in place. On the scalar backend alpha must be bitwise the
+// historical gram_matrix + add_diagonal + solve_spd result; on the SIMD
+// backends the fitted model's decisions stay within 1e-12 of it.
+
+constexpr std::size_t kFitSizes[] = {1, 7, 64, 65, 200, 800};
+
+std::vector<double> reference_alpha(const Dataset& data, double rho) {
+  Matrix k = gram_matrix(data.x, Kernel::rbf());
+  k.add_diagonal(rho);
+  const std::vector<double> y(data.y.begin(), data.y.end());
+  return solve_spd(k, y);
+}
+
+TEST(KrrDualFit, ScalarFitBitwiseEqualsGramSolveReference) {
+  util::Rng rng(63);
+  const BackendScope scalar(num::Backend::kScalar);
+  for (const std::size_t n : kFitSizes) {
+    const Dataset data = dual_training_set(n, 28, rng);
+    KrrClassifier krr{KrrConfig{}};
+    krr.fit(data.x, data.y);
+    const std::vector<double> packed = krr.pack();
+    const std::vector<double> want = reference_alpha(data, KrrConfig{}.rho);
+    ASSERT_EQ(static_cast<std::size_t>(packed[4]), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(bits(packed[6 + i]), bits(want[i])) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(KrrDualFit, SimdFitDecisionsWithinToleranceOfReference) {
+  util::Rng rng(64);
+  for (const std::size_t n : kFitSizes) {
+    const Dataset data = dual_training_set(n, 28, rng);
+    KrrClassifier reference{KrrConfig{}};
+    {
+      const BackendScope scalar(num::Backend::kScalar);
+      reference.fit(data.x, data.y);
+    }
+    const std::vector<double> reference_packed = reference.pack();
+    const Matrix windows = random_windows(16, 28, rng);
+    for (const num::Backend backend : num::all_backends()) {
+      if (backend == num::Backend::kScalar ||
+          !num::backend_available(backend)) {
+        continue;
+      }
+      KrrClassifier krr{KrrConfig{}};
+      {
+        const BackendScope scope(backend);
+        krr.fit(data.x, data.y);
+      }
+      // Both models scored on the scalar backend: only the fit differs.
+      const BackendScope scalar(num::Backend::kScalar);
+      for (std::size_t j = 0; j < windows.rows(); ++j) {
+        double magnitude = 0.0;
+        const double want =
+            reference_decision(reference_packed, windows.row(j), &magnitude);
+        EXPECT_NEAR(krr.decision(windows.row(j)), want,
+                    1e-12 * std::max(1.0, magnitude))
+            << "n=" << n << " backend=" << num::backend_name(backend)
+            << " window=" << j;
+      }
+    }
+  }
+}
+
 TEST(Kernel, SymmetryAndGram) {
   util::Rng rng(50);
   Matrix x(6, 4);
@@ -365,6 +440,32 @@ TEST(Kernel, SymmetryAndGram) {
     }
     if (kernel.type == KernelType::kRbf) {
       for (std::size_t i = 0; i < 6; ++i) EXPECT_DOUBLE_EQ(k(i, i), 1.0);
+    }
+  }
+}
+
+TEST(Kernel, GramLowerMatchesGramMatrixBitwiseOnEveryBackend) {
+  util::Rng rng(51);
+  constexpr double kSentinel = -7.5;
+  for (const std::size_t n : {1u, 9u, 65u, 130u}) {
+    const Matrix x = random_windows(n, 28, rng);
+    for (const Kernel kernel : {Kernel::linear(), Kernel::rbf()}) {
+      for (const num::Backend backend : num::all_backends()) {
+        if (!num::backend_available(backend)) continue;
+        const BackendScope scope(backend);
+        const Matrix want = gram_matrix(x, kernel);
+        Matrix got(n, n);
+        for (double& v : got.data()) v = kSentinel;
+        gram_lower(x, kernel, got);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            ASSERT_EQ(bits(got(i, j)), bits(j <= i ? want(i, j) : kSentinel))
+                << "n=" << n << " kernel=" << kernel.name()
+                << " backend=" << num::backend_name(backend) << " (" << i
+                << "," << j << ")";
+          }
+        }
+      }
     }
   }
 }

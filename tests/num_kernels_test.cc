@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -98,6 +99,25 @@ std::vector<double> random_spd(util::Rng& rng, std::size_t n) {
       a[i * n + j] = acc;
     }
     a[i * n + i] += static_cast<double>(n);
+  }
+  return a;
+}
+
+// Cheaper SPD matrix for large n: rank-32 B B^T plus the identity
+// (O(32 n^2) to build; condition number ~ n).
+std::vector<double> random_spd_low_rank(util::Rng& rng, std::size_t n) {
+  constexpr std::size_t kRank = 32;
+  const auto b = random_vector(rng, n * kRank);
+  std::vector<double> a(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < kRank; ++k) {
+        acc += b[i * kRank + k] * b[j * kRank + k];
+      }
+      a[i * n + j] = acc;
+    }
+    a[i * n + i] += 1.0;
   }
   return a;
 }
@@ -272,7 +292,7 @@ TEST(NumParallel, EverySchedulesBitIdenticalToSerialPerBackend) {
   // block shrinks.
   util::ThreadPool pool(4);
   util::Rng rng(1009);
-  for (const std::size_t n : {190u, 193u, 256u, 320u, 471u}) {
+  for (const std::size_t n : {190u, 193u, 256u, 320u, 471u, 800u}) {
     const auto a = random_spd(rng, n);
     for (const Backend backend : all_backends()) {
       if (!backend_available(backend)) continue;
@@ -574,26 +594,6 @@ TEST(NumAvx512, MaskedRemainderBitIdenticalToZeroPadded) {
   }
 }
 
-TEST(NumAvx512, DotSub8MatchesScalarColumns) {
-  SY_REQUIRE_AVX512();
-  util::Rng rng(5002);
-  for (const std::size_t n : kSizes) {
-    const auto a = random_vector(rng, n, 1.5);
-    std::vector<std::vector<double>> cols;
-    const double* bs[8];
-    for (int c = 0; c < 8; ++c) {
-      cols.push_back(random_vector(rng, n, 1.5));
-      bs[c] = cols.back().data();
-    }
-    const auto init = random_vector(rng, 8, 3.0);
-    auto got = init;
-    avx512::dot_sub8(got.data(), a.data(), bs, n);
-    for (int c = 0; c < 8; ++c) {
-      expect_rel_close(got[c], scalar::dot_sub(init[c], a, cols[c]));
-    }
-  }
-}
-
 TEST(NumAvx512, VectorExpMatchesStdExp) {
   SY_REQUIRE_AVX512();
   util::Rng rng(5003);
@@ -795,6 +795,210 @@ TEST(NumAnyBackend, BlockedCholeskyMatchesScalarWithinTolerance) {
       }
     }
     set_backend(saved);
+  }
+}
+
+// --- Packed SIMD Cholesky kernels -----------------------------------------
+// The avx2/avx512 panel solve and trailing update compute each entry as one
+// fused multiply-subtract chain in ascending k (num/kernels.h), so they are
+// pinned BITWISE against a std::fma loop of that exact sequence — which
+// also proves nothing outside the requested range is read into or written.
+
+struct PackedKernels {
+  const char* name;
+  bool (*available)();
+  void (*panel_solve)(double*, std::size_t, std::size_t, const double*,
+                      std::size_t);
+  void (*update)(double*, std::size_t, std::size_t, std::size_t,
+                 const double*, std::size_t, std::size_t, std::size_t,
+                 std::size_t);
+};
+
+const PackedKernels kPackedKernels[] = {
+    {"avx2", avx2::available, avx2::cholesky_panel_solve,
+     avx2::cholesky_update},
+    {"avx512", avx512::available, avx512::cholesky_panel_solve,
+     avx512::cholesky_update},
+};
+
+// 64-byte aligned, zero-filled pack for the rows below panel [p0, p1).
+struct AlignedPack {
+  explicit AlignedPack(std::size_t doubles)
+      : data(static_cast<double*>(
+            std::aligned_alloc(64, (doubles * sizeof(double) + 63) / 64 * 64))) {
+    std::fill(data, data + doubles, 0.0);
+  }
+  ~AlignedPack() { std::free(data); }
+  AlignedPack(const AlignedPack&) = delete;
+  AlignedPack& operator=(const AlignedPack&) = delete;
+  double* data;
+};
+
+// Packs rows [p1, n) of panel columns [p0, p1) of the n x n matrix `a`.
+void pack_panel_rows(const std::vector<double>& a, std::size_t n,
+                     std::size_t p0, std::size_t p1, double* pack) {
+  const std::size_t nb = p1 - p0;
+  for (std::size_t r = 0; p1 + r < n; ++r) {
+    for (std::size_t k = 0; k < nb; ++k) {
+      pack[(r / 8) * 8 * nb + 8 * k + r % 8] = a[(p1 + r) * n + p0 + k];
+    }
+  }
+}
+
+TEST(NumPacked, PanelSolveIsOneFmaChainPerEntry) {
+  util::Rng rng(6001);
+  for (const PackedKernels& kernels : kPackedKernels) {
+    if (!kernels.available()) continue;
+    // Rows below the panel: < one group, a partial group, every pass width.
+    for (const std::size_t rows : {1u, 7u, 30u, 36u, 86u, 139u}) {
+      // A partial-width block (nb = 37) as well as the full 64 columns.
+      for (const std::size_t nb : {37u, 64u}) {
+        const std::size_t p0 = 5;
+        const std::size_t p1 = p0 + nb;
+        const std::size_t n = p1 + rows;
+        auto a = random_vector(rng, n * n);
+        for (std::size_t j = p0; j < p1; ++j) {
+          a[j * n + j] = 1.0 + std::abs(a[j * n + j]);
+        }
+        auto want = a;
+        for (std::size_t i = p1; i < n; ++i) {
+          for (std::size_t j = 0; j < nb; ++j) {
+            double acc = want[i * n + p0 + j];
+            for (std::size_t k = 0; k < j; ++k) {
+              acc = std::fma(-want[i * n + p0 + k],
+                             want[(p0 + j) * n + p0 + k], acc);
+            }
+            want[i * n + p0 + j] = acc / want[(p0 + j) * n + p0 + j];
+          }
+        }
+        const std::size_t groups = cholesky_pack_groups(rows);
+        AlignedPack pack(groups * 8 * nb);
+        pack_panel_rows(a, n, p0, p1, pack.data);
+        kernels.panel_solve(pack.data, groups, nb, a.data() + p0 * n + p0, n);
+        for (std::size_t r = 0; r < groups * 8; ++r) {
+          for (std::size_t k = 0; k < nb; ++k) {
+            const double got = pack.data[(r / 8) * 8 * nb + 8 * k + r % 8];
+            if (r < rows) {
+              ASSERT_EQ(got, want[(p1 + r) * n + p0 + k])
+                  << kernels.name << " rows=" << rows << " nb=" << nb
+                  << " row=" << r << " k=" << k;
+            } else {
+              ASSERT_EQ(got, 0.0) << "padding lane " << r;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(NumPacked, TrailingUpdateIsOneFmaChainPerEntry) {
+  util::Rng rng(6002);
+  for (const PackedKernels& kernels : kPackedKernels) {
+    if (!kernels.available()) continue;
+    for (const std::size_t n : {65u, 70u, 129u, 150u, 203u}) {
+      const std::size_t p0 = 0;
+      const std::size_t p1 = 64;
+      const std::size_t nb = p1 - p0;
+      const std::size_t rows = n - p1;
+      const auto a = random_vector(rng, n * n);
+      AlignedPack pack(cholesky_pack_groups(rows) * 8 * nb);
+      pack_panel_rows(a, n, p0, p1, pack.data);
+      // The shapes the schedules issue: the whole trailing block, a row
+      // tile, the look-ahead strip, and the look-ahead rest.
+      const std::size_t p2 = std::min(p1 + 64, n);
+      const std::size_t ranges[][4] = {{p1, n, p1, n},
+                                       {std::min(p1 + 32, n),
+                                        std::min(p1 + 64, n), p1, n},
+                                       {p1, n, p1, p2},
+                                       {p2, n, p2, n}};
+      for (const auto& range : ranges) {
+        const std::size_t r0 = range[0], r1 = range[1];
+        const std::size_t c0 = range[2], c1 = range[3];
+        auto want = a;
+        for (std::size_t i = r0; i < r1; ++i) {
+          for (std::size_t j = c0; j < std::min(c1, i + 1); ++j) {
+            double acc = want[i * n + j];
+            for (std::size_t k = 0; k < nb; ++k) {
+              acc = std::fma(-a[i * n + p0 + k], a[j * n + p0 + k], acc);
+            }
+            want[i * n + j] = acc;
+          }
+        }
+        auto got = a;
+        kernels.update(got.data(), n, p0, p1, pack.data, r0, r1, c0, c1);
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 n * n * sizeof(double)))
+            << kernels.name << " n=" << n << " rows [" << r0 << "," << r1
+            << ") cols [" << c0 << "," << c1 << ")";
+      }
+    }
+  }
+}
+
+TEST(NumAnyBackend, CholeskyMatchesScalarAcrossPanelBoundaries) {
+  // Every SIMD backend against the scalar reference, at sizes on both sides
+  // of the 64-column panel and the 32-row solve pass: the factor within
+  // 1e-12 of the scalar factor's diagonal scale, and the strictly upper
+  // triangle untouched (it holds a sentinel the factor must not read into
+  // or overwrite).
+  util::Rng rng(4004);
+  constexpr double kSentinel = -3.25;
+  for (const std::size_t n :
+       {1u, 7u, 63u, 64u, 65u, 127u, 128u, 129u, 200u, 471u, 800u}) {
+    auto a = random_spd_low_rank(rng, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) a[i * n + j] = kSentinel;
+    }
+    const Backend saved = active_backend();
+    set_backend(Backend::kScalar);
+    auto ls = a;
+    ASSERT_EQ(cholesky_inplace(ls.data(), n, n), n);
+    double scale = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      scale = std::max(scale, std::abs(ls[i * n + i]));
+    }
+    for (const Backend backend : all_backends()) {
+      if (backend == Backend::kScalar || !backend_available(backend)) {
+        continue;
+      }
+      set_backend(backend);
+      auto lv = a;
+      ASSERT_EQ(cholesky_inplace(lv.data(), n, n), n);
+      double worst = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) {
+          worst = std::max(worst, std::abs(lv[i * n + j] - ls[i * n + j]));
+        }
+        const std::size_t upper = n - i - 1;
+        EXPECT_EQ(0, std::memcmp(lv.data() + i * n + i + 1,
+                                 a.data() + i * n + i + 1,
+                                 upper * sizeof(double)))
+            << "upper triangle written: n=" << n << " row=" << i
+            << " backend=" << backend_name(backend);
+      }
+      EXPECT_LE(worst, 1e-12 * scale)
+          << "n=" << n << " backend=" << backend_name(backend);
+    }
+    set_backend(saved);
+  }
+}
+
+TEST(NumAnyBackend, BadPivotInSecondPanelReportedAtScalarColumn) {
+  util::Rng rng(4005);
+  for (const std::size_t n : {200u, 800u}) {
+    auto a = random_spd_low_rank(rng, n);
+    a[100 * n + 100] = -1.0;  // column 100 lives in panel [64, 128)
+    for (const Backend backend : all_backends()) {
+      if (!backend_available(backend)) continue;
+      const Backend saved = active_backend();
+      set_backend(backend);
+      auto l = a;
+      const std::size_t status = cholesky_inplace(l.data(), n, n);
+      set_backend(saved);
+      EXPECT_EQ(status, 100u)
+          << "n=" << n << " backend=" << backend_name(backend);
+    }
   }
 }
 

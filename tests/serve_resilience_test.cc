@@ -764,5 +764,58 @@ TEST(AuthGatewayResilience, PermanentBundleErrorDefersWithoutBackoff) {
   std::filesystem::remove_all(root);
 }
 
+TEST(AuthGatewayResilience, BundleDeferredWhileBreakerClosedReplaysOnNextWrite) {
+  // One failed publish stays below the breaker threshold, so the breaker
+  // never opens and never closes: the deferred bundle must be replayed
+  // after the next successful bundle write instead.
+  const std::string root =
+      (std::filesystem::temp_directory_path() /
+       ("sy_resilience_closed_replay_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(root);
+  auto chaos = std::make_shared<ChaosController>();
+  GatewayConfig config;
+  config.model_dir = root + "/models";
+  config.breaker.failure_threshold = 2;
+  config.io_retry.max_attempts = 1;
+  config.io_sleep = [](std::uint64_t) {};
+  config.volume =
+      std::make_shared<ChaosVolume>(std::make_shared<FileVolume>(), chaos);
+  int installed_a = 0;
+  {
+    AuthGateway gateway(config);
+    gateway.contribute(2, kStationary, gw_vectors(2, 30, 12));
+    chaos->arm(parse_fault_plan("error@0+1"));
+    core::VectorsByContext positives_a;
+    positives_a[kStationary] = gw_vectors(0, 30, 10);
+    (void)gateway.enroll(0, positives_a, 99, /*contribute_positives=*/false);
+    EXPECT_EQ(gateway.pending_bundle_count(), 1u) << "A's publish failed";
+    EXPECT_EQ(gateway.persistence_breaker().state(),
+              CircuitBreaker::State::kClosed);
+    installed_a = gateway.model_version(0);
+    ASSERT_GT(installed_a, 0);
+
+    core::VectorsByContext positives_b;
+    positives_b[kStationary] = gw_vectors(1, 30, 11);
+    (void)gateway.enroll(1, positives_b, 98, /*contribute_positives=*/false);
+    gateway.wait_replay_idle();
+    EXPECT_EQ(gateway.pending_bundle_count(), 0u);
+    EXPECT_EQ(gateway.persistence_breaker().state(),
+              CircuitBreaker::State::kClosed);
+    EXPECT_EQ(chaos->stats().injected_errors, 1u);
+  }
+  {
+    GatewayConfig fresh_config;
+    fresh_config.model_dir = root + "/models";
+    AuthGateway recovered(fresh_config);
+    EXPECT_EQ(recovered.model_version(0), installed_a)
+        << "A's deferred bundle reached the disk";
+    EXPECT_EQ(recovered.score_batch(0, kStationary, gw_vectors(0, 5, 321))
+                  .size(),
+              5u);
+  }
+  std::filesystem::remove_all(root);
+}
+
 }  // namespace
 }  // namespace sy::serve
